@@ -2,13 +2,13 @@
 //!
 //! Times the two PR-4 wins plus the newly affordable `large` preset:
 //!
-//! 1. **Engine on store** — `Simulator::run_store` with the fully columnar
+//! 1. **Engine on store** — `Simulator::simulate(&store)` with the fully columnar
 //!    window loop (SoA active set feeding `match_window_into` slices
 //!    directly) on the reference `medium` scenario at 1 and 8 threads,
 //!    against the engine wall-times recorded in `BENCH_3.json`
 //!    (pre-columnar loop, measured at baseline commit d26db11);
 //! 2. **Merge phase** — `merge_session_batches` (the hour-bucketed scatter +
-//!    per-bucket compact-key sorts, ~40 % of generation wall-time) at
+//!    per-bucket key sorts, ~40 % of generation wall-time) at
 //!    1/2/8 workers, speedups against the in-run serial measurement — the
 //!    per-bucket sorts fan out over disjoint bucket slices via
 //!    `parallel_map_slices`, byte-identical for any worker count;

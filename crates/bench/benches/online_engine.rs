@@ -17,8 +17,7 @@
 //!    `events_per_sec` figure rides along ungated.
 //!
 //! Every replay's report is asserted byte-identical to the batch reference
-//! (and once against the deprecated `run_store` wrapper) before the record
-//! is written — a perf record of a wrong answer would be worse than none.
+//! before the record is written — a perf record of a wrong answer would be worse than none.
 //!
 //! The record lands in `BENCH_6.json` at the workspace root (schema
 //! `consume-local/bench-v1`); CI's `bench-quick` job regenerates it with
@@ -85,14 +84,6 @@ fn online_vs_batch(reps: usize) -> JsonValue {
             ..Default::default()
         });
         let (batch_ms, expect) = timed(reps, || sim.simulate(&store));
-        if threads == THREAD_COUNTS[0] {
-            // The deprecated wrapper must still be the same bytes — checked
-            // once so the record can never describe a divergent engine.
-            #[allow(deprecated)]
-            // lint:allow(deprecated-sim-entry) pins the record against the legacy entry point
-            let legacy = sim.run_store(&store);
-            assert_eq!(legacy, expect);
-        }
         let (wall_ms, streamed) = timed(reps, || online::replay(&sim, &store, &replay_config));
         let (report, stats) = streamed;
         assert_eq!(

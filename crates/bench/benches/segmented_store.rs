@@ -1,15 +1,16 @@
 //! Streaming per-day store perf record (`BENCH_5.json`).
 //!
 //! PR 5 lands the segmented pipeline (`TraceGenerator::segments` →
-//! per-day `SessionStore` segments → `Simulator::run_trace_stream`), which
+//! per-day `SessionStore` segments → `Simulator::simulate(&mut stream)`), which
 //! bounds peak trace memory to **one day-segment** instead of the whole
 //! horizon. This bench records:
 //!
 //! 1. **Large preset, gated** — the `large` scale (≈ 180 K users / 1.2 M
 //!    sessions) promoted from BENCH_4's affordability tracking to a
 //!    multi-rep gated section: generate (8 workers), columnarise, the
-//!    monolithic engine (`run_store`, 8 threads) and the bounded-memory
-//!    streaming end-to-end pass (`run_trace_stream`). These entries use
+//!    monolithic engine (`simulate(&store)`, 8 threads) and the
+//!    bounded-memory streaming end-to-end pass (`simulate(&mut stream)`).
+//!    These entries use
 //!    plain `wall_ms` field names, so CI's `bench_guard` gates them like
 //!    every other kernel. The streaming report is asserted **byte-identical**
 //!    to the monolithic one before the record is written.

@@ -9,7 +9,7 @@
 //!    after warm-up, like every baseline in this record);
 //! 2. **Columnarisation** — `SessionStore::from_trace`, the once-per-trace
 //!    cost sweeps amortise across scenarios;
-//! 3. **Engine on store** — `Simulator::run_store` on the prebuilt store at
+//! 3. **Engine on store** — `Simulator::simulate(&store)` on the prebuilt store at
 //!    1 and 8 threads against the engine wall-times recorded in
 //!    `BENCH_2.json` (no engine-path regression allowed).
 //!

@@ -60,8 +60,8 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"CLSNAP\r\n";
 ///
 /// Version 2 added the spill state: the config's `spill` flag, the run's
 /// spilled-day boundary and grouped day × ISP cells, and each swarm's
-/// frozen-day list.
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// frozen-day list. Version 3 dropped the run's sort-key maxima.
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Sanity bound on the declared payload length (1 GiB). A corrupted header
 /// cannot make the reader allocate unbounded memory: real snapshots are

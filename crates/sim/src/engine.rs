@@ -15,13 +15,11 @@
 //! Every way of feeding sessions to the engine goes through one entry
 //! point: [`Simulator::simulate`] consumes any [`SessionSource`] — a whole
 //! trace or prebuilt store in one batch, a [`SegmentedStore`] or generated
-//! [`SegmentStream`] day by day, or the
+//! [`SegmentStream`](consume_local_trace::SegmentStream) day by day, or the
 //! [`online`](crate::online) ingest channel as watermarked batches — and
 //! every source produces the **byte-identical** report (the resumable
 //! per-swarm window loops of [`SegmentedRun`] make batch boundaries
-//! invisible). The historical `run`/`run_store`/`run_segmented`/
-//! `run_trace_stream`/`begin_segmented` entry points survive as thin
-//! deprecated wrappers.
+//! invisible).
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
@@ -30,15 +28,13 @@ use std::io::{Read, Write};
 use consume_local_swarm::matching::MatchOutcome;
 use consume_local_swarm::{Matcher, MatcherKind, Peer, SwarmKey, SwarmPolicy};
 use consume_local_topology::{ExchangeId, IspId, PopId, UserLocation};
-use consume_local_trace::{
-    device::BitrateClass, ContentId, SegmentStream, SegmentedStore, SessionStore, SimTime, Trace,
-};
+use consume_local_trace::{device::BitrateClass, ContentId, SegmentedStore, SessionStore, SimTime};
 
 use crate::checkpoint::{CheckpointError, Checkpointer, SnapshotReader, SnapshotWriter};
 use crate::config::{EdgeCache, SimConfig, SimConfigError, UploadModel};
 use crate::ledger::ByteLedger;
 use crate::par::{parallel_map, parallel_map_slices};
-use crate::report::{DailyIspCell, Degradation, SimReport, SimWarning, SwarmReport, UserTraffic};
+use crate::report::{DailyIspCell, Degradation, SimReport, SwarmReport, UserTraffic};
 use crate::source::SessionSource;
 
 /// The simulator: a configured engine, reusable across traces.
@@ -81,9 +77,11 @@ impl Simulator {
     /// Runs the simulation over any [`SessionSource`] and returns the full
     /// report — the one entry point behind which every feeding mode meets.
     ///
-    /// The report is **byte-identical across sources**: a whole [`Trace`],
+    /// The report is **byte-identical across sources**: a whole
+    /// [`Trace`](consume_local_trace::Trace),
     /// its prebuilt [`SessionStore`], a per-day [`SegmentedStore`], a
-    /// generated [`SegmentStream`], or the online ingest channel
+    /// generated [`SegmentStream`](consume_local_trace::SegmentStream), or
+    /// the online ingest channel
     /// ([`online::channel`](crate::online::channel)) all produce the same
     /// bytes for the same sessions, at any thread count and any batch
     /// schedule. A caller replaying the same trace under many
@@ -199,40 +197,7 @@ impl Simulator {
             closed_days: 0,
             spilled_days: 0,
             spilled_cells: Vec::new(),
-            max_start_secs: 0,
-            max_user: 0,
-            max_content: 0,
         }
-    }
-
-    /// Runs the simulation over a trace.
-    #[deprecated(note = "use `Simulator::simulate(&trace)`")]
-    pub fn run(&self, trace: &Trace) -> SimReport {
-        self.simulate(trace)
-    }
-
-    /// Runs the simulation over a prebuilt columnar session store.
-    #[deprecated(note = "use `Simulator::simulate(&store)`")]
-    pub fn run_store(&self, store: &SessionStore) -> SimReport {
-        self.simulate(store)
-    }
-
-    /// Runs the simulation over a [`SegmentedStore`], day by day.
-    #[deprecated(note = "use `Simulator::simulate(&segmented_store)`")]
-    pub fn run_segmented(&self, store: &SegmentedStore) -> SimReport {
-        self.simulate(store)
-    }
-
-    /// Generates and simulates in one bounded-memory pass.
-    #[deprecated(note = "use `Simulator::simulate(&mut stream)`")]
-    pub fn run_trace_stream(&self, stream: &mut SegmentStream<'_>) -> SimReport {
-        self.simulate(stream)
-    }
-
-    /// Begins an incremental segment-sequential run.
-    #[deprecated(note = "use `Simulator::begin`")]
-    pub fn begin_segmented(&self, horizon_secs: u64, population_len: usize) -> SegmentedRun {
-        self.begin(horizon_secs, population_len)
     }
 
     /// The reference row-based engine: identical pipeline, but the per-swarm
@@ -278,7 +243,6 @@ impl Simulator {
             store.population_len(),
             parts,
             Vec::new(),
-            sort_key_warnings(store.sort_key_maxima()),
         )
     }
 
@@ -294,7 +258,6 @@ impl Simulator {
         population_len: usize,
         parts: Vec<(SwarmKey, u64, SwarmOutput)>,
         spilled_cells: Vec<(u32, Option<IspId>, ByteLedger)>,
-        warnings: Vec<SimWarning>,
     ) -> SimReport {
         let total_windows = horizon / self.config.window_secs;
         let mut swarms = Vec::with_capacity(parts.len());
@@ -361,7 +324,6 @@ impl Simulator {
             daily,
             total,
             degradation,
-            warnings,
         }
     }
 
@@ -394,25 +356,6 @@ pub struct DayClose {
     /// The day's ledger summed across every swarm (equals the day's
     /// [`DailyIspCell`]s of the final report aggregated over ISPs).
     pub ledger: ByteLedger,
-}
-
-/// The [`SimWarning`]s implied by a session set's sort-key maxima: one
-/// [`SimWarning::SortKeyFallback`] when the joint field widths overflow
-/// the packed 64-bit key (the same predicate the trace crate's packing and
-/// `TraceStats` use), nothing otherwise. Element-wise maxima folding
-/// across batches equals the monolithic maxima, so every source yields the
-/// same warning set for the same sessions.
-fn sort_key_warnings(maxima: (u64, u32, u32)) -> Vec<SimWarning> {
-    let (max_start_secs, max_user, max_content) = maxima;
-    if consume_local_trace::generator::sort_key_fallback_required(maxima) {
-        vec![SimWarning::SortKeyFallback {
-            max_start_secs,
-            max_user,
-            max_content,
-        }]
-    } else {
-        Vec::new()
-    }
 }
 
 /// The columnar active set of one sub-swarm: parallel per-session columns in
@@ -1200,11 +1143,6 @@ pub struct SegmentedRun {
     /// and grouped — byte-identical to the prefix of the final report's
     /// `daily` list covering those days.
     spilled_cells: Vec<(u32, Option<IspId>, ByteLedger)>,
-    /// Element-wise sort-key maxima folded across every pushed batch (see
-    /// [`SessionStore::sort_key_maxima`]).
-    max_start_secs: u64,
-    max_user: u32,
-    max_content: u32,
 }
 
 impl SegmentedRun {
@@ -1245,11 +1183,6 @@ impl SegmentedRun {
                     && *batch.start_secs().last().expect("non-empty") < watermark),
             "batch sessions must start in [previous watermark, watermark)"
         );
-        let (s, u, c) = batch.sort_key_maxima();
-        self.max_start_secs = self.max_start_secs.max(s);
-        self.max_user = self.max_user.max(u);
-        self.max_content = self.max_content.max(c);
-
         let limit = watermark;
         let one_shot = self.states.is_empty() && self.watermark == 0 && limit >= self.horizon_secs;
         self.watermark = watermark;
@@ -1474,9 +1407,6 @@ impl SegmentedRun {
             mut states,
             closed_days,
             spilled_cells,
-            max_start_secs,
-            max_user,
-            max_content,
             ..
         } = self;
         // Drain and extract in one parallel pass: `take_output` leaves each
@@ -1532,13 +1462,7 @@ impl SegmentedRun {
             }
         }
 
-        sim.merge_outputs(
-            horizon_secs,
-            population_len,
-            parts,
-            spilled_cells,
-            sort_key_warnings((max_start_secs, max_user, max_content)),
-        )
+        sim.merge_outputs(horizon_secs, population_len, parts, spilled_cells)
     }
 
     /// Drives the run to completion over `source` — the tail of
@@ -1605,9 +1529,6 @@ impl SegmentedRun {
             }
             put_ledger(&mut w, ledger);
         }
-        w.put_u64(self.max_start_secs);
-        w.put_u32(self.max_user);
-        w.put_u32(self.max_content);
         w.put_len(self.states.len());
         for state in &self.states {
             put_key(&mut w, &state.key);
@@ -1676,9 +1597,6 @@ impl Simulator {
             prev_cell = Some((day, isp));
             spilled_cells.push((day, isp, take_ledger(&mut r)?));
         }
-        let max_start_secs = r.take_u64("sort-key maxima")?;
-        let max_user = r.take_u32("sort-key maxima")?;
-        let max_content = r.take_u32("sort-key maxima")?;
         let n = r.take_len("swarm count")?;
         let mut states = Vec::with_capacity(n);
         let mut prev: Option<SwarmKey> = None;
@@ -1723,9 +1641,6 @@ impl Simulator {
             closed_days,
             spilled_days,
             spilled_cells,
-            max_start_secs,
-            max_user,
-            max_content,
         })
     }
 }
@@ -2497,7 +2412,9 @@ mod tests {
     use consume_local_swarm::MatcherKind;
     use consume_local_topology::{ExchangeId, IspId, IspTopology};
     use consume_local_trace::device::DeviceClass;
-    use consume_local_trace::{ContentId, SessionRecord, TraceConfig, TraceGenerator, UserId};
+    use consume_local_trace::{
+        ContentId, SessionRecord, Trace, TraceConfig, TraceGenerator, UserId,
+    };
 
     fn tiny_trace() -> Trace {
         TraceGenerator::new(TraceConfig::london_sep2013().scaled(0.0003).unwrap(), 11)
@@ -3037,82 +2954,6 @@ mod tests {
         assert_eq!(report.total.preload_bytes, 0);
         assert!(report.total.cache_bytes > 0);
         assert!(report.total.peer_bytes() > 0);
-    }
-
-    #[test]
-    fn sort_key_fallback_surfaces_as_report_warning() {
-        let trace = tiny_trace();
-        let sim = Simulator::new(SimConfig::default());
-        assert!(
-            sim.simulate(&trace).warnings.is_empty(),
-            "London presets fit the packed sort key"
-        );
-
-        // A session at an old single-field bound no longer warns: the
-        // dynamic layout absorbs it.
-        let mut records = trace.sessions().to_vec();
-        let mut at_old_bound = records[0];
-        at_old_bound.content = ContentId(1 << 15);
-        records.push(at_old_bound);
-        let horizon = trace.horizon_seconds();
-        let users = trace.population().len();
-        let absorbed = SessionStore::from_records(&records, horizon, users);
-        assert!(
-            sim.simulate(&absorbed).warnings.is_empty(),
-            "single old-bound exceedance must stay on the fast path"
-        );
-
-        // Jointly pathological maxima (user and content widths alone
-        // overflow 64 bits) trip the warning, which carries the measured
-        // maxima and is identical on every path.
-        let mut wide = records[0];
-        wide.user = UserId(u32::MAX);
-        wide.content = ContentId(u32::MAX);
-        records.push(wide);
-        let doctored = SessionStore::from_records(&records, horizon, users);
-        let report = sim.simulate(&doctored);
-        let (max_start_secs, max_user, max_content) = doctored.sort_key_maxima();
-        assert_eq!(
-            report.warnings,
-            vec![SimWarning::SortKeyFallback {
-                max_start_secs,
-                max_user,
-                max_content
-            }]
-        );
-        let seg = consume_local_trace::SegmentedStore::from_records(&records, horizon, users);
-        assert_eq!(
-            sim.simulate(&seg),
-            report,
-            "warnings are batch-schedule invariant"
-        );
-    }
-
-    /// The historical entry points must remain exact synonyms of
-    /// `simulate` for downstream callers mid-migration.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_delegate_to_simulate() {
-        let trace = tiny_trace();
-        let store = SessionStore::from_trace(&trace);
-        let seg = consume_local_trace::SegmentedStore::from_trace(&trace);
-        let sim = Simulator::new(SimConfig::default());
-        let expect = sim.simulate(&store);
-        assert_eq!(sim.run(&trace), expect);
-        // lint:allow(deprecated-sim-entry) pins the wrappers' delegation
-        assert_eq!(sim.run_store(&store), expect);
-        // lint:allow(deprecated-sim-entry) pins the wrappers' delegation
-        assert_eq!(sim.run_segmented(&seg), expect);
-        let generator = TraceGenerator::new(trace.config().clone(), 11);
-        let mut stream = generator.segments().unwrap();
-        // lint:allow(deprecated-sim-entry) pins the wrappers' delegation
-        assert_eq!(sim.run_trace_stream(&mut stream), expect);
-        // lint:allow(deprecated-sim-entry) pins the wrappers' delegation
-        let mut run = sim.begin_segmented(seg.horizon_secs(), seg.population_len());
-        for segment in seg.segments() {
-            run.push_segment(segment);
-        }
-        assert_eq!(run.finish(), expect);
     }
 
     /// A snapshot taken mid-run must restore into a run that finishes

@@ -36,8 +36,7 @@
 //!   checkpoint cadence policies and the atomic write/rename protocol
 //!   behind [`SegmentedRun::checkpoint`] / [`Simulator::resume`];
 //! * [`report`] — per-swarm, per-day×ISP, per-user and total results,
-//!   including theory-vs-simulation comparison points (Fig. 2 dots) and
-//!   structured [`SimWarning`]s.
+//!   including theory-vs-simulation comparison points (Fig. 2 dots).
 //!
 //! # Example
 //!
@@ -75,8 +74,6 @@ pub use config::{EdgeCache, SimConfig, SimConfigError, UploadModel};
 pub use engine::{DayClose, SegmentedRun, Simulator};
 pub use ledger::ByteLedger;
 pub use online::{OnlineError, OnlineSender, OnlineSource, ReplayConfig, ReplaySpeed, ReplayStats};
-pub use report::{
-    DailyIspCell, Degradation, SimReport, SimWarning, SwarmDay, SwarmReport, UserTraffic,
-};
+pub use report::{DailyIspCell, Degradation, SimReport, SwarmDay, SwarmReport, UserTraffic};
 pub use shard::{merge_shard_reports, ShardError};
 pub use source::{RetryPolicy, SessionSource, SourceError};

@@ -74,32 +74,6 @@ pub struct DailyIspCell {
     pub ledger: ByteLedger,
 }
 
-/// A non-fatal condition the engine noticed while simulating.
-///
-/// Warnings never change results — they flag paths that are correct but
-/// surprising (slower, or worth a config review). They are part of the
-/// report so programmatic callers (sweeps, services) see them without
-/// scraping stderr, and they are deterministic: the same sessions produce
-/// the same warnings on every path, worker count and batch schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SimWarning {
-    /// The sessions' joint sort-key widths overflowed the packed 64-bit
-    /// key (`consume_local_trace::generator::sort_key_fallback_required`;
-    /// at least 2²³ start seconds, 2²⁴ users and 2¹⁷ items always fit,
-    /// see `sort_key_bounds`), so sort-based trace pipelines fall back to
-    /// the wide record sort — identical output, slower to produce. The
-    /// fields carry the measured maxima so the pathological shape is
-    /// visible.
-    SortKeyFallback {
-        /// Largest session start in seconds.
-        max_start_secs: u64,
-        /// Largest user id.
-        max_user: u32,
-        /// Largest content id.
-        max_content: u32,
-    },
-}
-
 /// Fault-injection degradation totals: what churn and peer defection cost
 /// the run, system-wide. All-zero when `cooperation_rate == 1.0`.
 ///
@@ -165,8 +139,6 @@ pub struct SimReport {
     pub total: ByteLedger,
     /// Fault-injection cost of the run (all-zero with full cooperation).
     pub degradation: Degradation,
-    /// Non-fatal conditions noticed during the run (empty when clean).
-    pub warnings: Vec<SimWarning>,
 }
 
 impl SimReport {
@@ -344,7 +316,6 @@ mod tests {
             ],
             total: ledger,
             degradation: Degradation::default(),
-            warnings: Vec::new(),
         }
     }
 

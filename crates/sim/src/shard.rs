@@ -40,7 +40,7 @@
 use std::fmt;
 
 use crate::engine::Simulator;
-use crate::report::{SimReport, SimWarning};
+use crate::report::SimReport;
 use crate::source::SessionSource;
 
 /// A typed failure from [`merge_shard_reports`].
@@ -83,12 +83,6 @@ impl std::error::Error for ShardError {}
 /// contract and the byte-identity argument). The fold is commutative:
 /// shards may be supplied in any order.
 ///
-/// Warnings: at most one [`SimWarning::SortKeyFallback`] survives, carrying
-/// the element-wise maxima over the shards that warned. The metro presets
-/// warn on no path (pinned by a regression test); a composition whose
-/// *union* maxima overflow while every shard fits would go unwarned here —
-/// acceptable, since warnings never change results.
-///
 /// # Errors
 ///
 /// [`ShardError`] on an empty shard list, an envelope mismatch, or
@@ -113,7 +107,6 @@ pub fn merge_shard_reports(shards: Vec<SimReport>) -> Result<SimReport, ShardErr
         merged.daily.extend(shard.daily);
         merged.total.merge(&shard.total);
         merged.degradation.merge(&shard.degradation);
-        merged.warnings.extend(shard.warnings);
     }
 
     // Per-swarm results in global key order, exactly as the unsharded
@@ -140,25 +133,6 @@ pub fn merge_shard_reports(shards: Vec<SimReport>) -> Result<SimReport, ShardErr
     }
     merged.daily = folded;
 
-    // Fold fallback warnings into one element-wise maximum.
-    if !merged.warnings.is_empty() {
-        let mut maxima = (0u64, 0u32, 0u32);
-        for w in &merged.warnings {
-            let SimWarning::SortKeyFallback {
-                max_start_secs,
-                max_user,
-                max_content,
-            } = *w;
-            maxima.0 = maxima.0.max(max_start_secs);
-            maxima.1 = maxima.1.max(max_user);
-            maxima.2 = maxima.2.max(max_content);
-        }
-        merged.warnings = vec![SimWarning::SortKeyFallback {
-            max_start_secs: maxima.0,
-            max_user: maxima.1,
-            max_content: maxima.2,
-        }];
-    }
     Ok(merged)
 }
 
@@ -269,37 +243,6 @@ mod tests {
         assert_eq!(
             merge_shard_reports(vec![reports[0].clone(), alien]),
             Err(ShardError::EnvelopeMismatch { shard: 1 })
-        );
-    }
-
-    #[test]
-    fn fallback_warnings_fold_to_elementwise_maxima() {
-        let metro = tiny_metro();
-        let sim = sim();
-        let mut reports: Vec<SimReport> = metro
-            .shard_streams()
-            .expect("valid")
-            .iter_mut()
-            .map(|s| sim.simulate(s))
-            .collect();
-        reports[0].warnings = vec![SimWarning::SortKeyFallback {
-            max_start_secs: 10,
-            max_user: 500,
-            max_content: 3,
-        }];
-        reports[2].warnings = vec![SimWarning::SortKeyFallback {
-            max_start_secs: 7,
-            max_user: 9,
-            max_content: 800,
-        }];
-        let merged = merge_shard_reports(reports).expect("merges");
-        assert_eq!(
-            merged.warnings,
-            vec![SimWarning::SortKeyFallback {
-                max_start_secs: 10,
-                max_user: 500,
-                max_content: 800,
-            }]
         );
     }
 }

@@ -323,6 +323,13 @@ fn session_sort_key(s: &SessionRecord) -> u128 {
 /// global sort of the scrambled concatenation — the start column only
 /// interleaves *within* an hour, never across hours.
 ///
+/// The bucket count is bounded by the session count, never by the start
+/// values: hours map onto buckets through a monotone right shift, which is
+/// zero (one bucket per hour) whenever the sessions outnumber the hours
+/// they span, and only widens buckets when outlier starts stretch the span.
+/// Buckets sort stably by the canonical key, so the output is the stable
+/// key sort of the concatenated batches whatever the bucket widths.
+///
 /// The per-bucket sorts fan out across up to `workers` threads over the
 /// disjoint bucket slices ([`parallel_map_slices`]):
 /// every bucket sorts to the same bytes no matter which worker picks it up,
@@ -334,38 +341,23 @@ pub fn merge_session_batches(
     per_item: &[Vec<SessionRecord>],
     workers: usize,
 ) -> Vec<SessionRecord> {
-    merge_session_batches_inner(per_item, workers, false)
-}
-
-/// [`merge_session_batches`] with the compact key path disabled: every hour
-/// bucket takes the wide record sort regardless of the measured maxima.
-/// Output is byte-identical to the fast path — this entry exists so tests
-/// can pin that equivalence on demand (the legacy fallback is otherwise
-/// unreachable below pathological maxima).
-#[doc(hidden)]
-pub fn merge_session_batches_wide(
-    per_item: &[Vec<SessionRecord>],
-    workers: usize,
-) -> Vec<SessionRecord> {
-    merge_session_batches_inner(per_item, workers, true)
-}
-
-fn merge_session_batches_inner(
-    per_item: &[Vec<SessionRecord>],
-    workers: usize,
-    force_wide: bool,
-) -> Vec<SessionRecord> {
     let total: usize = per_item.iter().map(Vec::len).sum();
     let Some(&fill) = per_item.iter().find_map(|batch| batch.first()) else {
         return Vec::new();
     };
-    let bucket_of = |s: &SessionRecord| (s.start.as_secs() / SECS_PER_HOUR) as usize;
-    let buckets = 1 + per_item
+    let hour = |s: &SessionRecord| s.start.as_secs() / SECS_PER_HOUR;
+    let (min_hour, max_hour) = per_item
         .iter()
         .flatten()
-        .map(bucket_of)
-        .max()
-        .expect("total > 0");
+        .map(hour)
+        .fold((u64::MAX, 0), |(lo, hi), h| (lo.min(h), hi.max(h)));
+    let span = max_hour - min_hour;
+    let mut shift = 0;
+    while span >> shift >= total as u64 {
+        shift += 1;
+    }
+    let bucket_of = |s: &SessionRecord| ((hour(s) - min_hour) >> shift) as usize;
+    let buckets = (span >> shift) as usize + 1;
 
     let mut cursors = vec![0usize; buckets];
     for batch in per_item {
@@ -395,150 +387,10 @@ fn merge_session_batches_inner(
             *cursor += 1;
         }
     }
-    // Hour buckets are L1-resident (~7 KB at medium scale), so sorting
-    // compact 16-byte `(key, index)` pairs and gathering once moves less
-    // memory than swapping 40-byte records through a comparison sort. The
-    // 64-bit key layout is sized from the measured maxima below, so any
-    // scenario whose joint field widths fit 64 bits — every London and
-    // metro preset — sorts on this fast path; truly pathological worlds
-    // take the plain record sort.
-    let (mut max_start, mut max_user, mut max_content) = (0u64, 0u32, 0u32);
-    for s in &sessions {
-        max_start = max_start.max(s.start.as_secs());
-        max_user = max_user.max(s.user.0);
-        max_content = max_content.max(s.content.0);
-    }
-    let layout = if force_wide {
-        None
-    } else {
-        SortKeyLayout::from_maxima((max_start, max_user, max_content))
-    };
     parallel_map_slices(&mut sessions, &offsets, workers, |_, slice| {
-        sort_bucket(slice, layout);
+        slice.sort_by_key(session_sort_key);
     });
     sessions
-}
-
-/// Sorts one hour bucket into canonical order — via compact 64-bit
-/// key/index pairs when the scenario fits a [`SortKeyLayout`], via the
-/// plain record sort otherwise. Scratch is bucket-local, so buckets sort
-/// independently on any thread.
-fn sort_bucket(slice: &mut [SessionRecord], layout: Option<SortKeyLayout>) {
-    if slice.len() < 2 {
-        return;
-    }
-    let Some(layout) = layout else {
-        slice.sort_unstable_by_key(session_sort_key);
-        return;
-    };
-    let mut keys: Vec<(u64, u32)> = slice
-        .iter()
-        .enumerate()
-        .map(|(i, s)| (layout.pack(s), i as u32))
-        .collect();
-    keys.sort_unstable();
-    let scratch: Vec<SessionRecord> = keys.iter().map(|&(_, i)| slice[i as usize]).collect();
-    slice.copy_from_slice(&scratch);
-}
-
-/// The dynamic bit layout of the compact 64-bit session sort key.
-///
-/// The key packs `(start seconds, user id, content id)` most-significant
-/// first, with each field's width sized from the **measured trace maxima**
-/// — `bits(field) = bits needed to hold the largest observed value`. A
-/// layout exists iff the three widths jointly fit 64 bits; packed keys
-/// then compare exactly like the lexicographic `(start, user, content)`
-/// tuple, because no field can overflow into its neighbour. Scenarios that
-/// blow one [`sort_key_bounds`] bound but are slack elsewhere (a 31-day
-/// metro month with 18 M users uses 22 + 25 + 17 = 64 bits) still sort on
-/// the fast path; only jointly pathological shapes fall back to the wide
-/// record sort.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SortKeyLayout {
-    /// Bit width of the user-id field.
-    user_bits: u32,
-    /// Bit width of the content-id field.
-    item_bits: u32,
-}
-
-impl SortKeyLayout {
-    /// Sizes a layout from measured `(max start seconds, max user id, max
-    /// content id)`. Returns `None` when the joint field widths exceed 64
-    /// bits — the wide-record-sort fallback condition, shared verbatim by
-    /// [`sort_key_fallback_required`], `TraceStats::sort_key_fallback` and
-    /// the engine's `SortKeyFallback` warning.
-    pub fn from_maxima(maxima: (u64, u32, u32)) -> Option<Self> {
-        let (max_start, max_user, max_content) = maxima;
-        let start_bits = u64::BITS - max_start.leading_zeros();
-        let user_bits = u32::BITS - max_user.leading_zeros();
-        let item_bits = u32::BITS - max_content.leading_zeros();
-        if start_bits + user_bits + item_bits <= u64::BITS {
-            Some(Self {
-                user_bits,
-                item_bits,
-            })
-        } else {
-            None
-        }
-    }
-
-    /// Packs one record into its 64-bit key. Keys from the same layout
-    /// order exactly like the canonical `(start, user, content)` tuple.
-    pub fn pack(&self, s: &SessionRecord) -> u64 {
-        // `wrapping_shl` covers the one degenerate shape where
-        // user_bits + item_bits == 64: `from_maxima` then guarantees
-        // start_bits == 0, i.e. every start is 0 and the shifted value is 0
-        // either way.
-        s.start
-            .as_secs()
-            .wrapping_shl(self.user_bits + self.item_bits)
-            | (u64::from(s.user.0) << self.item_bits)
-            | u64::from(s.content.0)
-    }
-
-    /// Unpacks a key back into `(start seconds, user id, content id)` —
-    /// the inverse of [`SortKeyLayout::pack`] for any record within the
-    /// maxima the layout was sized from.
-    pub fn unpack(&self, key: u64) -> (u64, u32, u32) {
-        let item_mask = (1u128 << self.item_bits) - 1;
-        let user_mask = (1u128 << self.user_bits) - 1;
-        let item = (u128::from(key) & item_mask) as u32;
-        let user = ((u128::from(key) >> self.item_bits) & user_mask) as u32;
-        let start = u128::from(key) >> (self.user_bits + self.item_bits);
-        (start as u64, user, item)
-    }
-}
-
-/// Whether `(max start seconds, max user id, max content id)` force the
-/// wide record-sort fallback: true iff no [`SortKeyLayout`] fits. This
-/// predicate is the **single source of truth** for the fallback condition —
-/// the merge path, [`crate::TraceStats::sort_key_fallback`] and the
-/// engine's `SimWarning::SortKeyFallback` all call it (directly or through
-/// [`SortKeyLayout::from_maxima`]), so packing, stats and warning can never
-/// disagree.
-pub fn sort_key_fallback_required(maxima: (u64, u32, u32)) -> bool {
-    SortKeyLayout::from_maxima(maxima).is_none()
-}
-
-/// Guaranteed-simultaneous bounds of the compact 64-bit session sort key:
-/// any trace whose fields are *all* strictly below these bounds is
-/// guaranteed the fast path (23 + 24 + 17 = 64 bits). They are a floor,
-/// not a ceiling — the layout is sized from measured maxima
-/// ([`SortKeyLayout::from_maxima`]), so a scenario over one bound still
-/// sorts compact while the others leave slack (e.g. 18 M users in a
-/// 31-day horizon). Every London and metro preset fits; only jointly
-/// pathological worlds take the (identical-output, slower) wide record
-/// sort — [`crate::TraceStats::sort_key_fallback`] reports which path a
-/// trace takes, and the simulation engine surfaces the measured maxima as
-/// a structured `SimReport` warning (it reads them off
-/// [`crate::SessionStore::sort_key_maxima`]).
-pub mod sort_key_bounds {
-    /// Start-time bound: 2²³ seconds ≈ 97-day horizons.
-    pub const START_SECS: u64 = 1 << 23;
-    /// User-id bound: 2²⁴ ≈ 16.8 M users.
-    pub const USERS: u32 = 1 << 24;
-    /// Content-id bound: 2¹⁷ ≈ 131 K items.
-    pub const ITEMS: u32 = 1 << 17;
 }
 
 /// The generator: a [`TraceConfig`] plus a master seed.
@@ -953,7 +805,7 @@ struct ItemStream {
 /// Per-item RNG streams persist across days, so the emitted segments
 /// concatenate to exactly the monolithic trace; only one day's rows and
 /// columns are ever resident. Feed the segments to
-/// `Simulator::run_trace_stream` (in `consume-local-sim`) for the
+/// `Simulator::simulate` (in `consume-local-sim`) for the
 /// bounded-memory generate-and-simulate pipeline, or collect them with
 /// [`TraceGenerator::generate_segmented`].
 pub struct SegmentStream<'g> {
@@ -1292,7 +1144,7 @@ mod tests {
         }
     }
 
-    /// A record straddling one compact-key bound.
+    /// A record with the given sort fields.
     fn bound_record(start: u64, user: u32, content: u32, duration: u32) -> SessionRecord {
         use consume_local_topology::{ExchangeId, IspId, IspTopology};
 
@@ -1310,30 +1162,22 @@ mod tests {
         }
     }
 
-    /// The retired 59-bit packing (22-bit start / 22-bit user / 15-bit
-    /// content), kept as the oracle for the re-packed dynamic key: within
-    /// the old bounds both packings must order records identically.
-    fn legacy_sort_key_59(s: &SessionRecord) -> u64 {
-        (s.start.as_secs() << 37) | (u64::from(s.user.0) << 15) | u64::from(s.content.0)
-    }
-
-    /// Old 59-bit limits: the boundary shapes every key test pins.
+    /// Field limits of a 22/22/15-bit packing: the boundary shapes below
+    /// straddle them.
     const OLD_START: u64 = 1 << 22;
     const OLD_USERS: u32 = 1 << 22;
     const OLD_ITEMS: u32 = 1 << 15;
 
     #[test]
-    fn wide_sort_fallback_identical_at_every_bound() {
-        // One batch per boundary shape. Shapes that exceed a single old
-        // 59-bit limit — or a single new guaranteed bound — now sort on the
-        // compact fast path (the layout is sized from the measured maxima);
-        // only the jointly pathological final cases force the wide record
-        // sort. Either way the merged order must be byte-identical to the
-        // canonical global sort, and to the forced-wide merge.
-        let cases: Vec<(&str, bool, Vec<SessionRecord>)> = vec![
+    fn merge_and_store_match_tuple_order_at_every_bound() {
+        // Extreme field values, including starts far past any horizon: the
+        // merge and the store must order them exactly like the plain
+        // `(start, user, content)` tuple, with memory bounded by the
+        // session count (one bucket per hour up to a 2^40 s start would be
+        // ~3e8 buckets).
+        let cases: Vec<(&str, Vec<SessionRecord>)> = vec![
             (
-                "within old 59-bit bounds",
-                false,
+                "within 22/22/15-bit bounds",
                 vec![
                     bound_record(OLD_START - 1, OLD_USERS - 1, OLD_ITEMS - 1, 90),
                     bound_record(3, 7, 1, 60),
@@ -1342,8 +1186,7 @@ mod tests {
                 ],
             ),
             (
-                "start exceeds old 2^22 s",
-                false,
+                "start exceeds 2^22 s",
                 vec![
                     bound_record(OLD_START + 17, 1, 1, 60),
                     bound_record(OLD_START + 17, 0, 2, 60),
@@ -1351,8 +1194,7 @@ mod tests {
                 ],
             ),
             (
-                "user exceeds old 2^22",
-                false,
+                "user exceeds 2^22",
                 vec![
                     bound_record(10, OLD_USERS, 1, 60),
                     bound_record(10, OLD_USERS + 3, 0, 60),
@@ -1360,8 +1202,7 @@ mod tests {
                 ],
             ),
             (
-                "content exceeds old 2^15",
-                false,
+                "content exceeds 2^15",
                 vec![
                     bound_record(44, 9, OLD_ITEMS, 60),
                     bound_record(44, 9, OLD_ITEMS + 2, 60),
@@ -1369,23 +1210,16 @@ mod tests {
                 ],
             ),
             (
-                "every field at its new guaranteed bound",
-                false,
+                "every field at 2^23 s x 2^24 users x 2^17 items",
                 vec![
-                    bound_record(
-                        sort_key_bounds::START_SECS - 1,
-                        sort_key_bounds::USERS - 1,
-                        sort_key_bounds::ITEMS - 1,
-                        90,
-                    ),
-                    bound_record(sort_key_bounds::START_SECS - 1, 0, 1, 60),
-                    bound_record(2, sort_key_bounds::USERS - 1, 0, 60),
-                    bound_record(2, 1, sort_key_bounds::ITEMS - 1, 60),
+                    bound_record((1 << 23) - 1, (1 << 24) - 1, (1 << 17) - 1, 90),
+                    bound_record((1 << 23) - 1, 0, 1, 60),
+                    bound_record(2, (1 << 24) - 1, 0, 60),
+                    bound_record(2, 1, (1 << 17) - 1, 60),
                 ],
             ),
             (
-                "metro shape: users past the guaranteed bound, slack start",
-                false,
+                "metro shape: 18 M users, 120 K items",
                 vec![
                     bound_record(100, 18_000_000, 119_999, 60),
                     bound_record(100, 17_999_999, 3, 60),
@@ -1393,8 +1227,7 @@ mod tests {
                 ],
             ),
             (
-                "pathological: joint widths exceed 64 bits",
-                true,
+                "u32::MAX ids",
                 vec![
                     bound_record(1, u32::MAX, u32::MAX, 60),
                     bound_record(1, u32::MAX - 1, 5, 60),
@@ -1402,8 +1235,7 @@ mod tests {
                 ],
             ),
             (
-                "pathological: giant horizon times giant population",
-                true,
+                "2^40 s starts x 2^30 users",
                 vec![
                     bound_record((1 << 40) + 12, (1 << 30) + 5, 0, 60),
                     bound_record((1 << 40) + 12, 1 << 30, 1, 60),
@@ -1411,164 +1243,27 @@ mod tests {
                 ],
             ),
         ];
-        for (name, wide, records) in cases {
-            let maxima = records.iter().fold((0u64, 0u32, 0u32), |m, s| {
-                (
-                    m.0.max(s.start.as_secs()),
-                    m.1.max(s.user.0),
-                    m.2.max(s.content.0),
-                )
-            });
-            assert_eq!(
-                sort_key_fallback_required(maxima),
-                wide,
-                "{name}: unexpected fallback decision for {maxima:?}"
-            );
+        for (name, records) in cases {
             let mut expected = records.clone();
-            sort_sessions(&mut expected);
-            for workers in [1, 4] {
-                // Split the records across two batches to exercise the
-                // scatter too.
-                let (a, b) = records.split_at(records.len() / 2);
-                let batches = [a.to_vec(), b.to_vec()];
-                let merged = merge_session_batches(&batches, workers);
-                assert_eq!(merged, expected, "{name}, {workers} workers");
+            expected.sort_by(|a, b| {
+                (a.start.as_secs(), a.user.0, a.content.0).cmp(&(
+                    b.start.as_secs(),
+                    b.user.0,
+                    b.content.0,
+                ))
+            });
+            // Split the records across two batches to exercise the scatter.
+            let (a, b) = records.split_at(records.len() / 2);
+            let batches = [a.to_vec(), b.to_vec()];
+            for workers in [1, 2, 8] {
                 assert_eq!(
-                    merge_session_batches_wide(&batches, workers),
+                    merge_session_batches(&batches, workers),
                     expected,
-                    "{name}, {workers} workers, forced-wide path"
+                    "{name}, {workers} workers"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn repacked_key_matches_legacy_59_bit_oracle_within_old_bounds() {
-        // Within the old 59-bit bounds the dynamic layout and the retired
-        // packing must induce the same order (both are faithful encodings
-        // of the same lexicographic tuple). Deterministic pseudo-random
-        // coverage plus the exact old corners.
-        let mut records = Vec::new();
-        let mut x = 0x2545_f491_4f6c_dd1du64;
-        for _ in 0..500 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            records.push(bound_record(
-                x % OLD_START,
-                (x >> 23) as u32 % OLD_USERS,
-                (x >> 45) as u32 % OLD_ITEMS,
-                60,
-            ));
-        }
-        records.push(bound_record(
-            OLD_START - 1,
-            OLD_USERS - 1,
-            OLD_ITEMS - 1,
-            60,
-        ));
-        records.push(bound_record(0, 0, 0, 60));
-        let maxima = (OLD_START - 1, OLD_USERS - 1, OLD_ITEMS - 1);
-        let layout = SortKeyLayout::from_maxima(maxima).expect("old bounds fit the new key");
-        let mut by_new = records.clone();
-        by_new.sort_by_key(|s| layout.pack(s));
-        let mut by_old = records.clone();
-        by_old.sort_by_key(legacy_sort_key_59);
-        assert_eq!(by_new, by_old, "re-packed order diverges from the oracle");
-        for s in &records {
-            assert_eq!(
-                layout.unpack(layout.pack(s)),
-                (s.start.as_secs(), s.user.0, s.content.0),
-                "pack/unpack must round-trip"
-            );
-        }
-    }
-
-    mod prop {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            // Pack/unpack round-trips and packed keys order exactly like
-            // the lexicographic (start, user, content) tuple, for layouts
-            // sized anywhere within the guaranteed bounds — including the
-            // exact maxima corner and the all-zero record.
-            #[test]
-            fn prop_pack_round_trips_and_orders_like_the_tuple(
-                max_start in 0u64..sort_key_bounds::START_SECS,
-                max_user in 0u32..sort_key_bounds::USERS,
-                max_item in 0u32..sort_key_bounds::ITEMS,
-                a in 0u64..u64::MAX,
-                b in 0u64..u64::MAX,
-            ) {
-                let maxima = (max_start, max_user, max_item);
-                prop_assert!(!sort_key_fallback_required(maxima));
-                let layout =
-                    SortKeyLayout::from_maxima(maxima).expect("guaranteed bounds fit");
-                let rec = |x: u64| {
-                    bound_record(
-                        x % (max_start + 1),
-                        ((x >> 19) % (u64::from(max_user) + 1)) as u32,
-                        ((x >> 41) % (u64::from(max_item) + 1)) as u32,
-                        60,
-                    )
-                };
-                let corners = [
-                    rec(a),
-                    rec(b),
-                    bound_record(max_start, max_user, max_item, 60),
-                    bound_record(0, 0, 0, 60),
-                ];
-                for r in &corners {
-                    prop_assert_eq!(
-                        layout.unpack(layout.pack(r)),
-                        (r.start.as_secs(), r.user.0, r.content.0)
-                    );
-                }
-                let tuple = |r: &SessionRecord| (r.start.as_secs(), r.user.0, r.content.0);
-                for ra in &corners {
-                    for rb in &corners {
-                        prop_assert_eq!(
-                            layout.pack(ra).cmp(&layout.pack(rb)),
-                            tuple(ra).cmp(&tuple(rb))
-                        );
-                    }
-                }
-            }
-
-            // The fallback decision is exactly the joint-bit-width test, for
-            // field widths spanning both sides of the 64-bit boundary —
-            // single-bound overflows (the metro shapes) stay compact, and
-            // any fitting layout round-trips its own maxima record.
-            #[test]
-            fn prop_fallback_decision_matches_joint_bit_widths(
-                start_bits in 0u32..=40,
-                user_bits in 0u32..=32,
-                item_bits in 0u32..=32,
-                raw in 0u64..u64::MAX,
-            ) {
-                // A value of exactly `bits` significant bits: top bit set,
-                // the rest noise.
-                let top = |bits: u32, noise: u64| -> u64 {
-                    if bits == 0 {
-                        0
-                    } else {
-                        (1u64 << (bits - 1)) | (noise & ((1u64 << (bits - 1)) - 1))
-                    }
-                };
-                let maxima = (
-                    top(start_bits, raw),
-                    top(user_bits, raw >> 13) as u32,
-                    top(item_bits, raw >> 29) as u32,
-                );
-                let wide = start_bits + user_bits + item_bits > 64;
-                prop_assert_eq!(sort_key_fallback_required(maxima), wide);
-                prop_assert_eq!(SortKeyLayout::from_maxima(maxima).is_none(), wide);
-                if let Some(layout) = SortKeyLayout::from_maxima(maxima) {
-                    let r = bound_record(maxima.0, maxima.1, maxima.2, 60);
-                    prop_assert_eq!(layout.unpack(layout.pack(&r)), maxima);
-                }
-            }
+            let store = crate::store::SessionStore::from_records(&records, 86_400, 1);
+            assert_eq!(store.to_records(), expected, "{name}, store");
         }
     }
 

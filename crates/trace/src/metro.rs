@@ -15,19 +15,11 @@
 //! content id = city_content + city × city.catalogue_size
 //! ```
 //!
-//! Two consequences the engine layers build on:
-//!
-//! * **Sharding by city is sharding by swarm.** Swarm keys start with the
-//!   content id, so disjoint content ranges mean disjoint swarm key ranges
-//!   — each city can be simulated as an independent shard and the per-shard
-//!   ledgers merged commutatively (`consume-local-sim`'s
-//!   `merge_shard_reports`), byte-identical to simulating the union stream.
-//! * **The union sorts on the fast path.** A five-city London-scale metro
-//!   reaches 18 M users (25 bits) and 120 K items (17 bits) over a 31-day
-//!   horizon (22 bits of start seconds) — exactly the shapes the measured
-//!   [`SortKeyLayout`](crate::generator::SortKeyLayout) was widened for.
-//!   The old fixed 59-bit packing capped at 2²² users and would have pushed
-//!   every city past the first onto the slow wide sort.
+//! **Sharding by city is sharding by swarm.** Swarm keys start with the
+//! content id, so disjoint content ranges mean disjoint swarm key ranges —
+//! each city can be simulated as an independent shard and the per-shard
+//! ledgers merged commutatively (`consume-local-sim`'s
+//! `merge_shard_reports`), byte-identical to simulating the union stream.
 //!
 //! Peak memory follows the per-day contract of
 //! [`SegmentStream`]: a [`MetroStream`]
@@ -82,8 +74,7 @@ impl MetroConfig {
     /// The benchmark preset past the old 4 M-user ceiling: five cities at
     /// 0.6 × London scale — **10.8 M users** (> 2²³), 70.5 M target
     /// sessions, 72 K items. Small enough to simulate within the
-    /// full-scale-London RSS envelope when sharded city-by-city, large
-    /// enough that the old 59-bit sort key could not have packed it.
+    /// full-scale-London RSS envelope when sharded city-by-city.
     pub fn ten_million() -> Self {
         Self {
             cities: 5,
@@ -163,22 +154,6 @@ impl MetroConfig {
     /// First content id of `city`.
     pub fn content_offset(&self, city: u32) -> u32 {
         city * self.city.catalogue_size
-    }
-
-    /// Upper bounds on the session sort-key maxima any trace of this config
-    /// can reach, as `(max start seconds, max user id, max content id)` —
-    /// the tuple [`SortKeyLayout::from_maxima`] and
-    /// [`sort_key_fallback_required`] consume. Useful to check a metro
-    /// shape sorts on the packed fast path *without* generating it.
-    ///
-    /// [`SortKeyLayout::from_maxima`]: crate::generator::SortKeyLayout::from_maxima
-    /// [`sort_key_fallback_required`]: crate::generator::sort_key_fallback_required
-    pub fn sort_key_maxima(&self) -> (u64, u32, u32) {
-        (
-            self.horizon_seconds().saturating_sub(1),
-            (self.users().saturating_sub(1)) as u32,
-            (self.catalogue_size().saturating_sub(1)) as u32,
-        )
     }
 }
 
@@ -318,9 +293,8 @@ struct CityLane<'m> {
 ///
 /// Offsetting each city's ids by a constant preserves the city's canonical
 /// order, so the per-city day segments are valid pre-sorted batches for
-/// [`merge_session_batches`] — the union merge runs on the same packed
-/// fast path the generator uses, and the emitted segment is byte-identical
-/// for any worker count. Only the participating cities' current day is ever
+/// [`merge_session_batches`] — the union merge is the one the generator
+/// uses, and the emitted segment is byte-identical for any worker count. Only the participating cities' current day is ever
 /// resident.
 pub struct MetroStream<'m> {
     lanes: Vec<CityLane<'m>>,
@@ -398,7 +372,7 @@ impl MetroStream<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generator::{sort_key_fallback_required, sort_sessions, SortKeyLayout};
+    use crate::generator::sort_sessions;
 
     fn tiny() -> MetroConfig {
         MetroConfig::five_city()
@@ -417,23 +391,6 @@ mod tests {
         assert!(tiny().validate().is_ok());
         assert!(MetroConfig::five_city().validate().is_ok());
         assert!(MetroConfig::ten_million().validate().is_ok());
-    }
-
-    #[test]
-    fn presets_break_the_old_ceiling_on_the_fast_path() {
-        // Both metro presets exceed the old 2²² user bound …
-        assert!(MetroConfig::ten_million().users() > 10_000_000);
-        assert!(MetroConfig::five_city().users() == 18_000_000);
-        for config in [MetroConfig::ten_million(), MetroConfig::five_city()] {
-            let maxima = config.sort_key_maxima();
-            assert!(u64::from(maxima.1) >= 1 << 22, "past the old user bound");
-            // … yet still pack into the measured 64-bit layout.
-            assert!(
-                !sort_key_fallback_required(maxima),
-                "metro presets must sort on the packed fast path: {maxima:?}"
-            );
-            assert!(SortKeyLayout::from_maxima(maxima).is_some());
-        }
     }
 
     #[test]

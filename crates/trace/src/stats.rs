@@ -4,7 +4,7 @@ use std::collections::HashSet;
 
 use serde::{Deserialize, Serialize};
 
-use crate::generator::{sort_key_fallback_required, Trace};
+use crate::generator::Trace;
 
 /// Aggregate statistics of a trace, the quantities behind Table I.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -24,16 +24,6 @@ pub struct TraceStats {
     pub sessions_per_user: f64,
     /// Distinct content items watched.
     pub items_watched: u64,
-    /// Whether the trace's measured maxima overflow the packed 64-bit sort
-    /// key (see [`crate::generator::sort_key_fallback_required`] and
-    /// [`crate::generator::sort_key_bounds`]: at least 2²³ start seconds,
-    /// 2²⁴ users and 2¹⁷ items fit simultaneously), making sort-based
-    /// pipelines (the parallel merge, segment emission) take the wide
-    /// record sort — correct but slower. Sweeps over custom scales can
-    /// check this up front; the simulation engine surfaces the same
-    /// condition, computed by the same predicate, as a structured
-    /// `SimReport` warning.
-    pub sort_key_fallback: bool,
 }
 
 impl TraceStats {
@@ -44,7 +34,6 @@ impl TraceStats {
         let mut items = HashSet::new();
         let mut watch_secs = 0u64;
         let mut bytes = 0u64;
-        let mut maxima = (0u64, 0u32, 0u32);
         for s in trace.sessions() {
             users.insert(s.user);
             items.insert(s.content);
@@ -53,11 +42,7 @@ impl TraceStats {
             }
             watch_secs += u64::from(s.duration_secs);
             bytes += s.bytes_watched();
-            maxima.0 = maxima.0.max(s.start.as_secs());
-            maxima.1 = maxima.1.max(s.user.0);
-            maxima.2 = maxima.2.max(s.content.0);
         }
-        let sort_key_fallback = sort_key_fallback_required(maxima);
         let sessions = trace.sessions().len() as u64;
         Self {
             active_users: users.len() as u64,
@@ -67,7 +52,6 @@ impl TraceStats {
             bytes,
             sessions_per_user: sessions as f64 / (users.len() as f64).max(1.0),
             items_watched: items.len() as u64,
-            sort_key_fallback,
         }
     }
 
@@ -190,71 +174,6 @@ mod tests {
             "sessions {} vs paper {sessions}",
             table.projected_sessions
         );
-    }
-
-    #[test]
-    fn sort_key_fallback_follows_shared_predicate() {
-        use crate::generator::sort_key_bounds;
-
-        // London presets fit the packed key: no fallback.
-        let t = trace(0.002, 7);
-        assert!(!TraceStats::measure(&t).sort_key_fallback);
-
-        // The flag mirrors `sort_key_fallback_required` on the measured
-        // maxima: single-field exceedance of an old 59-bit bound (or a new
-        // guaranteed bound) stays on the fast path; jointly pathological
-        // maxima flip it. Rebuild the trace with one doctored record per
-        // case.
-        let base = t.sessions()[0];
-        for (name, expected, record) in [
-            ("start at new guaranteed bound", false, {
-                let mut s = base;
-                s.start = crate::time::SimTime(sort_key_bounds::START_SECS);
-                s
-            }),
-            ("user at new guaranteed bound", false, {
-                let mut s = base;
-                s.user = crate::population::UserId(sort_key_bounds::USERS);
-                s
-            }),
-            ("content at new guaranteed bound", false, {
-                let mut s = base;
-                s.content = crate::content::ContentId(sort_key_bounds::ITEMS);
-                s
-            }),
-            ("jointly pathological user and content", true, {
-                let mut s = base;
-                s.user = crate::population::UserId(u32::MAX);
-                s.content = crate::content::ContentId(u32::MAX);
-                s
-            }),
-        ] {
-            let mut sessions = t.sessions().to_vec();
-            sessions.push(record);
-            let doctored = Trace::from_parts(
-                t.config().clone(),
-                t.catalogue().clone(),
-                t.population().clone(),
-                sessions,
-            );
-            let stats = TraceStats::measure(&doctored);
-            assert_eq!(
-                stats.sort_key_fallback, expected,
-                "{name}: sort_key_fallback must match the shared predicate"
-            );
-            let maxima = doctored.sessions().iter().fold((0u64, 0u32, 0u32), |m, s| {
-                (
-                    m.0.max(s.start.as_secs()),
-                    m.1.max(s.user.0),
-                    m.2.max(s.content.0),
-                )
-            });
-            assert_eq!(
-                stats.sort_key_fallback,
-                sort_key_fallback_required(maxima),
-                "{name}: stats and packing must share one source of truth"
-            );
-        }
     }
 
     #[test]

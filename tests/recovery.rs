@@ -168,7 +168,7 @@ fn corrupted_snapshots_are_rejected_with_typed_errors() {
     std::fs::write(&path, &bytes).unwrap();
     assert!(matches!(
         checkpoint::resume_latest(&path),
-        Err(CheckpointError::UnsupportedVersion { supported: 2, .. })
+        Err(CheckpointError::UnsupportedVersion { supported: 3, .. })
     ));
 
     // Bad magic.

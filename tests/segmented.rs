@@ -94,15 +94,9 @@ proptest! {
         prop_assert_eq!(&concatenated, &mono.to_records());
         prop_assert_eq!(&seg.to_records(), &concatenated);
 
-        // Global record/index lookups agree with the monolithic store.
+        // Global record lookups agree with the monolithic store.
         for i in 0..seg.len() {
             prop_assert_eq!(seg.record(i), mono.record(i));
-        }
-        for probe in [0, 3_599, 86_400, 86_401, 2 * 86_400 + 7, HORIZON, HORIZON + 9_999] {
-            prop_assert_eq!(seg.first_at_or_after(probe), mono.first_at_or_after(probe));
-        }
-        for w in 0..(HORIZON / 3_600) as usize + 2 {
-            prop_assert_eq!(seg.window_range(w), mono.window_range(w));
         }
 
         // Rebuilding from the round-tripped records reproduces the store.
