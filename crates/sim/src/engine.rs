@@ -33,8 +33,10 @@ use consume_local_trace::{device::BitrateClass, ContentId, SegmentedStore, Sessi
 use crate::checkpoint::{CheckpointError, Checkpointer, SnapshotReader, SnapshotWriter};
 use crate::config::{EdgeCache, SimConfig, SimConfigError, UploadModel};
 use crate::ledger::ByteLedger;
-use crate::par::{parallel_map, parallel_map_slices};
-use crate::report::{DailyIspCell, Degradation, SimReport, SwarmReport, UserTraffic};
+use crate::par::parallel_map_slices;
+use crate::report::{
+    fold_daily_cells, DailyIspCell, Degradation, SimReport, SwarmReport, UserTraffic,
+};
 use crate::source::SessionSource;
 
 /// The simulator: a configured engine, reusable across traces.
@@ -108,9 +110,7 @@ impl Simulator {
     /// # }
     /// ```
     pub fn simulate(&self, source: impl SessionSource) -> SimReport {
-        let mut run = self.begin(source.horizon_secs(), source.population_len());
-        source.for_each_batch(&mut |batch, watermark| run.push_batch(batch, watermark));
-        run.finish()
+        self.simulate_days(source, |_| {})
     }
 
     /// Like [`Simulator::simulate`], additionally invoking `on_day_close`
@@ -209,11 +209,11 @@ impl Simulator {
         self.run_store_with(store, Self::simulate_swarm_rows)
     }
 
-    /// The engine pipeline around a pluggable per-swarm simulation:
-    /// grouping, the parallel per-swarm fan-out and the deterministic merge
-    /// mirror the production one-shot path ([`SegmentedRun::push_batch`]'s
-    /// whole-horizon fast path). Test-only: it exists so the row-based
-    /// oracle runs through an identical pipeline.
+    /// A whole store replayed around a pluggable per-swarm simulation:
+    /// the production grouping and merge, with each swarm simulated in one
+    /// call and no spill. Test-only: it exists so the row-based oracle and
+    /// the single-pass machine can be checked against the production
+    /// [`SegmentedRun::push_batch`] path.
     #[cfg(test)]
     fn run_store_with(
         &self,
@@ -226,7 +226,7 @@ impl Simulator {
         // 2. Simulate swarms (work-stealing across threads; each swarm's
         //    result is placed at its key-ordered slot).
         let n = keyed.len();
-        let outputs = parallel_map(n, self.config.threads, |i| {
+        let outputs = crate::par::parallel_map(n, self.config.threads, |i| {
             let (key, range) = &keyed[i];
             simulate(self, *key, &indices[range.clone()], store)
         });
@@ -257,18 +257,22 @@ impl Simulator {
         horizon: u64,
         population_len: usize,
         parts: Vec<(SwarmKey, u64, SwarmOutput)>,
-        spilled_cells: Vec<(u32, Option<IspId>, ByteLedger)>,
+        spilled_cells: Vec<DailyIspCell>,
     ) -> SimReport {
         let total_windows = horizon / self.config.window_secs;
         let mut swarms = Vec::with_capacity(parts.len());
-        let mut daily_cells: Vec<(u32, Option<IspId>, ByteLedger)> = Vec::new();
+        let mut daily_cells: Vec<DailyIspCell> = Vec::new();
         let mut total = ByteLedger::new();
         let mut degradation = Degradation::default();
         for (key, sessions, out) in &parts {
             total.merge(&out.ledger);
             degradation.merge(&out.degradation);
-            for (day, ledger) in &out.daily {
-                daily_cells.push((*day, key.isp, *ledger));
+            for &(day, ledger) in &out.daily {
+                daily_cells.push(DailyIspCell {
+                    day,
+                    isp: key.isp,
+                    ledger,
+                });
             }
             // Spilled days precede every live day, so the frozen points
             // chain in front in day order.
@@ -301,20 +305,11 @@ impl Simulator {
             });
         }
         let users = scatter_users(population_len, &parts, self.config.threads);
-        daily_cells.sort_by_key(|&(day, isp, _)| (day, isp));
         // The spilled prefix is already grouped and covers strictly earlier
-        // days than any live cell; appending the live groups reproduces the
-        // unspilled sort-and-merge byte for byte.
-        let mut daily: Vec<DailyIspCell> = spilled_cells
-            .into_iter()
-            .map(|(day, isp, ledger)| DailyIspCell { day, isp, ledger })
-            .collect();
-        for (day, isp, ledger) in daily_cells {
-            match daily.last_mut() {
-                Some(cell) if cell.day == day && cell.isp == isp => cell.ledger.merge(&ledger),
-                _ => daily.push(DailyIspCell { day, isp, ledger }),
-            }
-        }
+        // days than any live cell; folding the live cells onto it
+        // reproduces the unspilled sort-and-merge byte for byte.
+        let mut daily = spilled_cells;
+        fold_daily_cells(&mut daily, daily_cells);
 
         SimReport {
             horizon_secs: horizon,
@@ -329,9 +324,9 @@ impl Simulator {
 
     /// Simulates one sub-swarm over its sessions (already start-ordered):
     /// one [`SwarmSim`] driven over the whole store in a single
-    /// [`SwarmSim::advance`] pass. Test-only: the production one-shot path
-    /// runs the same machine through [`SegmentedRun::push_batch`]'s
-    /// whole-horizon fan-out; this shape feeds the row-oracle pipeline.
+    /// [`SwarmSim::advance`] pass. Test-only: production runs the same
+    /// machine through [`SegmentedRun::push_batch`]'s chunked advance (with
+    /// freeze and spill); this shape feeds the row-oracle pipeline.
     #[cfg(test)]
     fn simulate_swarm(&self, key: SwarmKey, indices: &[u32], store: &SessionStore) -> SwarmOutput {
         let first = indices[0] as usize;
@@ -971,8 +966,8 @@ impl SwarmSim {
     /// out id-sorted (as the old presorted dense-slot scheme emitted them)
     /// and users who accumulated nothing — sessions never spanning a window
     /// boundary — are dropped. Taking `&mut self` (instead of `self`) lets
-    /// [`SegmentedRun::finish_days`] drain and extract in one parallel pass
-    /// over its state chunks.
+    /// [`SegmentedRun::finish_days`] extract in one parallel pass over its
+    /// state chunks.
     fn take_output(&mut self) -> SwarmOutput {
         let mut users: Vec<(u32, u64, u64)> = std::mem::take(&mut self.users)
             .into_iter()
@@ -1052,16 +1047,37 @@ impl SwarmSim {
     }
 }
 
-/// Contiguous chunk offsets splitting `n` per-swarm states across workers
-/// with mild over-partitioning for load balance: a [`parallel_map_slices`]
-/// steal costs one lock per *chunk*, so chunking per state would pay one
-/// lock per swarm per segment — hundreds of millions at full scale.
-fn state_chunks(n: usize, workers: usize) -> Vec<usize> {
-    const OVERPARTITION: usize = 8;
-    let chunks = (workers.max(1) * OVERPARTITION).min(n.max(1));
-    let per = n.div_ceil(chunks).max(1);
-    let mut offsets: Vec<usize> = (0..).map(|i| i * per).take_while(|&o| o < n).collect();
-    offsets.push(n);
+/// Contiguous chunk offsets splitting the per-swarm states (one `weights`
+/// entry each, in state order) across workers with mild over-partitioning
+/// for load balance: a [`parallel_map_slices`] steal costs one lock per
+/// *chunk*, so chunking per state would pay one lock per swarm per batch —
+/// hundreds of millions at full scale.
+///
+/// Chunks are cut at equal cumulative weight, not equal state count: the
+/// popular low content ids sort first, so count-based chunks would pile the
+/// head swarms into chunk 0. A state at least one chunk's worth of weight
+/// gets a chunk of its own. Zero-weight states cost next to nothing and
+/// ride along with their neighbours.
+fn state_chunks(weights: &[u64], workers: usize) -> Vec<usize> {
+    const OVERPARTITION: u64 = 8;
+    let total: u64 = weights.iter().sum();
+    let target = total.div_ceil(workers.max(1) as u64 * OVERPARTITION).max(1);
+    let mut offsets = vec![0];
+    let mut acc = 0;
+    for (i, &w) in weights.iter().enumerate() {
+        if w >= target && acc > 0 {
+            offsets.push(i);
+            acc = 0;
+        }
+        acc += w;
+        if acc >= target {
+            offsets.push(i + 1);
+            acc = 0;
+        }
+    }
+    if offsets.last() != Some(&weights.len()) {
+        offsets.push(weights.len());
+    }
     offsets
 }
 
@@ -1142,7 +1158,7 @@ pub struct SegmentedRun {
     /// The spilled days' accumulated day × ISP cells, `(day, isp)`-sorted
     /// and grouped — byte-identical to the prefix of the final report's
     /// `daily` list covering those days.
-    spilled_cells: Vec<(u32, Option<IspId>, ByteLedger)>,
+    spilled_cells: Vec<DailyIspCell>,
 }
 
 impl SegmentedRun {
@@ -1161,66 +1177,36 @@ impl SegmentedRun {
     /// online channel watermarks at its own cadence); empty batches are
     /// fine and just advance time.
     ///
-    /// Grouping, machine upsert and the parallel fan-out are deterministic
-    /// for any thread count, and any batch schedule of the same sessions
-    /// produces byte-identical final output. A first batch that already
-    /// covers the whole horizon takes the one-shot fast path: per-swarm
-    /// work-stealing over the grouped store, exactly the shape the
-    /// monolithic whole-store replay always had.
+    /// Every batch shape — a whole store with watermark `u64::MAX`, day
+    /// segments, online hours, checkpointed days — takes the same path:
+    /// group, upsert machines, advance them in work-balanced chunks,
+    /// freeze the quiescent ones and spill the sealed days. Each step is
+    /// deterministic for any thread count, and any batch schedule of the
+    /// same sessions produces byte-identical final output.
     ///
     /// # Panics
     ///
-    /// Panics if `watermark` is below the previous watermark.
+    /// Panics if `watermark` is below the previous watermark, or if a
+    /// session in `batch` starts outside `[previous watermark, watermark)`.
     pub fn push_batch(&mut self, batch: &SessionStore, watermark: u64) {
         assert!(
             watermark >= self.watermark,
             "watermark must be monotone: {watermark} < {}",
             self.watermark
         );
-        debug_assert!(
+        // The batch is start-sorted, so its first and last starts bound all.
+        assert!(
             batch.is_empty()
                 || (batch.start_secs()[0] >= self.watermark
                     && *batch.start_secs().last().expect("non-empty") < watermark),
             "batch sessions must start in [previous watermark, watermark)"
         );
-        let limit = watermark;
-        let one_shot = self.states.is_empty() && self.watermark == 0 && limit >= self.horizon_secs;
         self.watermark = watermark;
 
         // 1. Group the batch's sessions into sub-swarms — the same shared
-        //    grouping every path uses, so they can never diverge on keying
-        //    or tie order.
+        //    grouping every caller uses, so keying and tie order never
+        //    diverge.
         let (indices, groups) = group_by_swarm(&self.sim.config, batch);
-
-        // One-shot fast path: the whole horizon in one batch (simulate on a
-        // monolithic store, the sweep runner's shape). Per-swarm
-        // work-stealing balances the head swarms' load better than the
-        // chunked incremental fan-out, and groups come out key-ordered, so
-        // the states land already sorted.
-        if one_shot {
-            let sim = &self.sim;
-            let horizon = self.horizon_secs;
-            self.states = parallel_map(groups.len(), sim.config.threads, |i| {
-                let (key, range) = &groups[i];
-                let idx = &indices[range.clone()];
-                let first = idx[0] as usize;
-                let mut swarm = SwarmSim::new(
-                    sim,
-                    *key,
-                    batch.start_secs()[first],
-                    batch.device()[first].bitrate_bps(),
-                );
-                swarm.advance(sim, batch, idx, u64::MAX, horizon);
-                SwarmState {
-                    key: *key,
-                    sessions: idx.len() as u64,
-                    frozen: Vec::new(),
-                    swarm,
-                }
-            });
-            return;
-        }
-        let segment = batch;
 
         // 2. Upsert machines: existing swarms count their new sessions, new
         //    keys get a machine initialised from their earliest session.
@@ -1237,8 +1223,8 @@ impl SegmentedRun {
                         swarm: SwarmSim::new(
                             &self.sim,
                             *key,
-                            segment.start_secs()[first],
-                            segment.device()[first].bitrate_bps(),
+                            batch.start_secs()[first],
+                            batch.device()[first].bitrate_bps(),
                         ),
                     });
                 }
@@ -1251,18 +1237,24 @@ impl SegmentedRun {
 
         // 3. Advance every machine with work, in parallel over disjoint
         //    per-state chunks (slot-ordered: the final state of every
-        //    machine is independent of which thread ran it).
-        let work: Vec<&[u32]> = self
+        //    machine is independent of which thread ran it). Groups and
+        //    states are both key-sorted and every group has a state, so
+        //    one merge walk pairs them. A machine's work is the new,
+        //    active and carried sessions its advance replays.
+        let mut groups = groups.iter().peekable();
+        let (work, weights): (Vec<&[u32]>, Vec<u64>) = self
             .states
             .iter()
             .map(|s| {
-                groups
-                    .binary_search_by(|(key, _)| key.cmp(&s.key))
-                    .map(|g| &indices[groups[g].1.clone()])
-                    .unwrap_or(&[])
+                let new: &[u32] = match groups.next_if(|(key, _)| *key == s.key) {
+                    Some((_, range)) => &indices[range.clone()],
+                    None => &[],
+                };
+                let weight = new.len() + s.swarm.active.len() + s.swarm.carry.len();
+                (new, weight as u64)
             })
-            .collect();
-        let offsets = state_chunks(self.states.len(), self.sim.config.threads);
+            .unzip();
+        let offsets = state_chunks(&weights, self.sim.config.threads);
         let sim = &self.sim;
         let horizon = self.horizon_secs;
         let spill = sim.config.spill;
@@ -1277,7 +1269,7 @@ impl SegmentedRun {
                     if indices.is_empty() && state.swarm.is_quiescent() {
                         continue;
                     }
-                    state.swarm.advance(sim, segment, indices, limit, horizon);
+                    state.swarm.advance(sim, batch, indices, watermark, horizon);
                     if state.swarm.is_quiescent() {
                         if spill {
                             state.swarm.freeze();
@@ -1293,30 +1285,32 @@ impl SegmentedRun {
         }
     }
 
-    /// Spills every newly sealed day out of the per-swarm machines: each
-    /// sealed `(day, ledger)` entry is folded into the run-level day × ISP
-    /// cells (commutative `u64` sums, so any fold order equals the final
-    /// report's sort-and-merge bytes) and replaced by a compact
-    /// [`FrozenDay`]. A day is sealed once the watermark passes its end —
-    /// machines with pending work always advance to the watermark and
-    /// later sessions start at or after it, so sealed entries can never
-    /// grow again (the invariant [`SegmentedRun::drain_closed_days`]
-    /// already relies on).
-    fn spill_sealed_days(&mut self) {
+    /// Days the watermark has sealed: a day is sealed once the watermark
+    /// passes its end (every day, once it reaches the horizon). Machines
+    /// with pending work always advance to the watermark and later sessions
+    /// start at or after it, so a sealed day's ledgers are final.
+    fn sealed_days(&self) -> u64 {
         let spd = consume_local_trace::time::SECS_PER_DAY;
         let total_days = self.horizon_secs.div_ceil(spd);
-        let sealed = if self.watermark >= self.horizon_secs {
+        if self.watermark >= self.horizon_secs {
             total_days
         } else {
             (self.watermark / spd).min(total_days)
-        };
+        }
+    }
+
+    /// Spills every newly sealed day (see [`SegmentedRun::sealed_days`])
+    /// out of the per-swarm machines: each sealed `(day, ledger)` entry is
+    /// folded into the run-level day × ISP cells and replaced by a compact
+    /// [`FrozenDay`].
+    fn spill_sealed_days(&mut self) {
+        let sealed = self.sealed_days();
         if sealed <= self.spilled_days {
             return;
         }
-        // Per swarm-day cells of this round, collected in state (= key)
-        // order, then grouped exactly as `merge_outputs` groups the live
-        // ones. Days only ever grow, so grouped rounds concatenate sorted.
-        let mut cells: Vec<(u32, Option<IspId>, ByteLedger)> = Vec::new();
+        // Days only ever grow, so each round's grouped cells fold onto the
+        // end of the already-spilled ones.
+        let mut cells: Vec<DailyIspCell> = Vec::new();
         for state in &mut self.states {
             let cut = state
                 .swarm
@@ -1329,34 +1323,26 @@ impl SegmentedRun {
                     active_windows: ledger.active_windows,
                     peer_windows: ledger.peer_windows,
                 });
-                cells.push((day, state.key.isp, ledger));
+                cells.push(DailyIspCell {
+                    day,
+                    isp: state.key.isp,
+                    ledger,
+                });
             }
         }
-        cells.sort_by_key(|&(day, isp, _)| (day, isp));
-        for (day, isp, ledger) in cells {
-            match self.spilled_cells.last_mut() {
-                Some(c) if c.0 == day && c.1 == isp => c.2.merge(&ledger),
-                _ => self.spilled_cells.push((day, isp, ledger)),
-            }
-        }
+        fold_daily_cells(&mut self.spilled_cells, cells);
         self.spilled_days = sealed;
     }
 
     /// Emits a [`DayClose`] for every day the current watermark has sealed
     /// but [`drain_closed_days`](Self::drain_closed_days) has not yet
     /// emitted, in day order. A day is sealed once the watermark reaches
-    /// its end: every window of the day has then been processed (the
-    /// machines advanced past it) and no future session can start inside
-    /// it, so the day's ledger is final. Days the watermark never passes
-    /// are emitted by [`SegmentedRun::finish_days`].
+    /// its end: every window of the day has then been processed and no
+    /// future session can start inside it, so the day's ledger is final.
+    /// Days the watermark never passes are emitted by
+    /// [`SegmentedRun::finish_days`].
     pub fn drain_closed_days(&mut self, mut on_day_close: impl FnMut(DayClose)) {
-        let spd = consume_local_trace::time::SECS_PER_DAY;
-        let total_days = self.horizon_secs.div_ceil(spd);
-        let sealed = if self.watermark >= self.horizon_secs {
-            total_days
-        } else {
-            (self.watermark / spd).min(total_days)
-        };
+        let sealed = self.sealed_days();
         while self.closed_days < sealed {
             let day = self.closed_days as u32;
             let mut ledger = ByteLedger::new();
@@ -1364,12 +1350,12 @@ impl SegmentedRun {
                 // The day's per-swarm entries were spilled: its grouped
                 // cells hold the same sums (per-ISP instead of per-swarm —
                 // `u64` addition makes the regrouping exact).
-                let from = self.spilled_cells.partition_point(|&(d, _, _)| d < day);
-                for (d, _, cell) in &self.spilled_cells[from..] {
-                    if *d != day {
-                        break;
-                    }
-                    ledger.merge(cell);
+                let from = self.spilled_cells.partition_point(|c| c.day < day);
+                for cell in self.spilled_cells[from..]
+                    .iter()
+                    .take_while(|c| c.day == day)
+                {
+                    ledger.merge(&cell.ledger);
                 }
             } else {
                 // Each machine's `daily` list is day-sorted (days are
@@ -1399,70 +1385,39 @@ impl SegmentedRun {
     /// for every horizon day not yet drained — after the final drain, so
     /// the emitted ledgers account sessions running past the last
     /// watermark.
-    pub fn finish_days(self, mut on_day_close: impl FnMut(DayClose)) -> SimReport {
-        let SegmentedRun {
-            sim,
-            horizon_secs,
-            population_len,
-            mut states,
-            closed_days,
-            spilled_cells,
-            ..
-        } = self;
-        // Drain and extract in one parallel pass: `take_output` leaves each
-        // machine empty, so the per-swarm user sort runs on the workers.
-        let drain_store = SessionStore::from_records(&[], horizon_secs, 0);
-        let offsets = state_chunks(states.len(), sim.config.threads);
-        let chunked: Vec<Vec<(SwarmKey, u64, SwarmOutput)>> =
-            parallel_map_slices(&mut states, &offsets, sim.config.threads, |_, chunk| {
-                chunk
-                    .iter_mut()
-                    .map(|state| {
-                        if !state.swarm.is_quiescent() {
-                            state
-                                .swarm
-                                .advance(&sim, &drain_store, &[], u64::MAX, horizon_secs);
-                        }
-                        let mut out = state.swarm.take_output();
-                        out.frozen = std::mem::take(&mut state.frozen);
-                        (state.key, state.sessions, out)
-                    })
-                    .collect()
-            });
-        let parts: Vec<(SwarmKey, u64, SwarmOutput)> = chunked.into_iter().flatten().collect();
+    pub fn finish_days(mut self, on_day_close: impl FnMut(DayClose)) -> SimReport {
+        // The final advance is an empty batch at watermark `u64::MAX`: it
+        // drains the machines and seals every day, which then closes the
+        // same way a watermark closes it.
+        let drain = SessionStore::from_records(&[], self.horizon_secs, 0);
+        self.push_batch(&drain, u64::MAX);
+        self.drain_closed_days(on_day_close);
 
-        // Close the days the watermark never sealed, from the final
-        // (drained) per-swarm ledgers — chunk order is state order, so the
-        // scan below sees each swarm's day-sorted list exactly once. Days
-        // already spilled (but never drained) close from their grouped
-        // cells; live `daily` lists hold only the days past the spill
-        // boundary, so the two sources never overlap.
-        let spd = consume_local_trace::time::SECS_PER_DAY;
-        let total_days = horizon_secs.div_ceil(spd);
-        if closed_days < total_days {
-            let base = closed_days as usize;
-            let mut ledgers = vec![ByteLedger::new(); (total_days - closed_days) as usize];
-            let from = spilled_cells.partition_point(|&(d, _, _)| u64::from(d) < closed_days);
-            for (day, _, cell) in &spilled_cells[from..] {
-                ledgers[*day as usize - base].merge(cell);
-            }
-            for (_, _, out) in &parts {
-                let from = out
-                    .daily
-                    .partition_point(|&(d, _)| u64::from(d) < closed_days);
-                for (day, ledger) in &out.daily[from..] {
-                    ledgers[*day as usize - base].merge(ledger);
-                }
-            }
-            for (k, ledger) in ledgers.into_iter().enumerate() {
-                on_day_close(DayClose {
-                    day: (base + k) as u32,
-                    ledger,
-                });
-            }
-        }
-
-        sim.merge_outputs(horizon_secs, population_len, parts, spilled_cells)
+        // Extract in parallel: `take_output` sorts each swarm's users.
+        let weights: Vec<u64> = self
+            .states
+            .iter()
+            .map(|s| s.swarm.users.len() as u64)
+            .collect();
+        let threads = self.sim.config.threads;
+        let offsets = state_chunks(&weights, threads);
+        let chunked = parallel_map_slices(&mut self.states, &offsets, threads, |_, chunk| {
+            chunk
+                .iter_mut()
+                .map(|state| {
+                    let mut out = state.swarm.take_output();
+                    out.frozen = std::mem::take(&mut state.frozen);
+                    (state.key, state.sessions, out)
+                })
+                .collect::<Vec<_>>()
+        });
+        let parts = chunked.into_iter().flatten().collect();
+        self.sim.merge_outputs(
+            self.horizon_secs,
+            self.population_len,
+            parts,
+            self.spilled_cells,
+        )
     }
 
     /// Drives the run to completion over `source` — the tail of
@@ -1518,16 +1473,16 @@ impl SegmentedRun {
         w.put_u64(self.closed_days);
         w.put_u64(self.spilled_days);
         w.put_len(self.spilled_cells.len());
-        for (day, isp, ledger) in &self.spilled_cells {
-            w.put_u32(*day);
-            match isp {
+        for cell in &self.spilled_cells {
+            w.put_u32(cell.day);
+            match cell.isp {
                 Some(isp) => {
                     w.put_bool(true);
                     w.put_u8(isp.0);
                 }
                 None => w.put_bool(false),
             }
-            put_ledger(&mut w, ledger);
+            put_ledger(&mut w, &cell.ledger);
         }
         w.put_len(self.states.len());
         for state in &self.states {
@@ -1595,7 +1550,11 @@ impl Simulator {
                 return Err(CheckpointError::Corrupt("spilled cells out of order"));
             }
             prev_cell = Some((day, isp));
-            spilled_cells.push((day, isp, take_ledger(&mut r)?));
+            spilled_cells.push(DailyIspCell {
+                day,
+                isp,
+                ledger: take_ledger(&mut r)?,
+            });
         }
         let n = r.take_len("swarm count")?;
         let mut states = Vec::with_capacity(n);
@@ -2172,7 +2131,7 @@ fn swarm_seed(base: u64, key: &SwarmKey) -> u64 {
 struct SwarmOutput {
     ledger: ByteLedger,
     /// Days spilled while the run was in flight, preceding every `daily`
-    /// entry (empty on the monolithic path and with spill disabled).
+    /// entry (empty with spill disabled).
     frozen: Vec<FrozenDay>,
     daily: Vec<(u32, ByteLedger)>,
     users: Vec<(u32, u64, u64)>,
@@ -2523,8 +2482,9 @@ mod tests {
 
     #[test]
     fn single_advance_pass_matches_production_fan_out() {
-        // The columnar machine driven in one whole-horizon advance (the
-        // test pipeline) against the production push_batch fast path.
+        // The columnar machine driven in one whole-horizon advance without
+        // spill (the test pipeline) against the production push_batch path
+        // (chunked advance, freeze and spill).
         let trace = tiny_trace();
         let store = SessionStore::from_trace(&trace);
         let sim = Simulator::new(SimConfig::default());
@@ -2922,6 +2882,72 @@ mod tests {
         let mut run = sim.begin(seg.horizon_secs(), seg.population_len());
         run.push_segment(seg.segment(0));
         assert_eq!(run.finish(), sim.simulate(&trace));
+    }
+
+    #[test]
+    #[should_panic(expected = "batch sessions must start in [previous watermark, watermark)")]
+    fn push_batch_rejects_sessions_before_the_previous_watermark() {
+        let store = SessionStore::from_trace(&pair_trace(0)); // starts at 0
+        let sim = Simulator::new(SimConfig::default());
+        let mut run = sim.begin(store.horizon_secs(), store.population_len());
+        let empty = SessionStore::from_records(&[], store.horizon_secs(), store.population_len());
+        run.push_batch(&empty, 1_000);
+        run.push_batch(&store, 2_000);
+    }
+
+    #[test]
+    fn state_chunks_cut_at_equal_work() {
+        const OVERPARTITION: u64 = 8;
+        // Offsets start at 0, end at the state count and ascend strictly
+        // (no empty chunk), so every state lands in exactly one chunk.
+        let check = |weights: &[u64], workers: usize| -> Vec<usize> {
+            let offsets = state_chunks(weights, workers);
+            assert_eq!(offsets.first(), Some(&0));
+            assert_eq!(offsets.last(), Some(&weights.len()));
+            assert!(offsets.windows(2).all(|w| w[0] < w[1]), "{offsets:?}");
+            // A chunk holding several states stays under two targets.
+            let target = weights
+                .iter()
+                .sum::<u64>()
+                .div_ceil(workers as u64 * OVERPARTITION)
+                .max(1);
+            for w in offsets.windows(2).filter(|w| w[1] - w[0] > 1) {
+                let work: u64 = weights[w[0]..w[1]].iter().sum();
+                assert!(work < 2 * target, "chunk {w:?} holds {work} > 2 × {target}");
+            }
+            offsets
+        };
+
+        // Uniform work: 1 worker and n ≫ workers cut into at most
+        // OVERPARTITION chunks per worker.
+        for workers in [1, 2, 8] {
+            let offsets = check(&[3; 1000], workers);
+            let chunks = offsets.len() as u64 - 1;
+            assert!(chunks <= workers as u64 * OVERPARTITION, "{chunks} chunks");
+            assert!(
+                chunks >= workers as u64 * OVERPARTITION / 2,
+                "{chunks} chunks"
+            );
+        }
+
+        // Zipf-like head-heavy work, as key order puts popular items first.
+        let zipf: Vec<u64> = (1..=5_000u64).map(|i| 100_000 / i).collect();
+        let offsets = check(&zipf, 2);
+        assert!(offsets[1] < 10, "the head swarms must not share one chunk");
+
+        // A single dominant state gets a chunk of its own.
+        let mut skewed = vec![1u64; 100];
+        skewed[40] = 10_000;
+        let offsets = check(&skewed, 2);
+        assert!(
+            offsets.contains(&40) && offsets.contains(&41),
+            "{offsets:?}"
+        );
+
+        // All-zero weights, fewer states than workers, and no states.
+        assert_eq!(check(&[0; 50], 4), vec![0, 50]);
+        assert_eq!(check(&[5, 5, 5], 8), vec![0, 1, 2, 3]);
+        assert_eq!(state_chunks(&[], 4), vec![0]);
     }
 
     #[test]

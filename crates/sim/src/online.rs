@@ -17,9 +17,10 @@
 //!   canonical [`SessionStore`] batch, which is what lets the engine retire
 //!   finished swarms and close days *while the stream is still open*
 //!   ([`Simulator::simulate_days`]).
-//!   Late events (start before the current watermark) are rejected at the
-//!   sender with [`OnlineError::LateSession`] rather than silently skewing
-//!   results.
+//!   Late events (start before the current watermark) and events from
+//!   users outside the population are rejected at the sender with
+//!   [`OnlineError::LateSession`] / [`OnlineError::UnknownUser`] rather
+//!   than silently skewing results.
 //! * **Byte-identical results.** Because the online path feeds the same
 //!   resumable per-swarm machines through the same [`SessionSource`]
 //!   contract, a replayed trace produces a [`SimReport`]
@@ -89,6 +90,15 @@ pub enum OnlineError {
         /// The watermark it arrived behind.
         watermark: u64,
     },
+    /// The session's user id is outside the channel's population
+    /// (`user ≥ population_len`). The event was **not** enqueued: its
+    /// bytes would count in the report's total but in no user's traffic.
+    UnknownUser {
+        /// The rejected session's user id.
+        user: u32,
+        /// The channel's population size.
+        population_len: usize,
+    },
     /// The consuming side hung up (the simulation finished or died); no
     /// further events can be delivered.
     Disconnected,
@@ -107,6 +117,13 @@ impl std::fmt::Display for OnlineError {
             } => write!(
                 f,
                 "late session: starts at {start_secs}s, behind watermark {watermark}s"
+            ),
+            Self::UnknownUser {
+                user,
+                population_len,
+            } => write!(
+                f,
+                "unknown user {user}: the population has {population_len} users"
             ),
             Self::Disconnected => write!(f, "online channel disconnected"),
             Self::Full => write!(f, "online channel full: event not enqueued"),
@@ -163,7 +180,11 @@ pub fn channel(
 ) -> (OnlineSender, OnlineSource) {
     let (tx, rx) = sync_channel(capacity);
     (
-        OnlineSender { tx, watermark: 0 },
+        OnlineSender {
+            tx,
+            watermark: 0,
+            population_len,
+        },
         OnlineSource {
             rx,
             horizon_secs,
@@ -180,17 +201,13 @@ pub fn channel(
 pub struct OnlineSender {
     tx: SyncSender<Envelope>,
     watermark: u64,
+    population_len: usize,
 }
 
 impl OnlineSender {
-    /// Enqueues one arriving session, blocking while the channel is full
-    /// (backpressure).
-    ///
-    /// Events need not be sorted — batches are put into canonical order
-    /// when a watermark seals them — but each must start at or after the
-    /// current watermark, or it is rejected as
-    /// [`OnlineError::LateSession`].
-    pub fn send_session(&mut self, session: SessionRecord) -> Result<(), OnlineError> {
+    /// Rejects a session the engine could not account: one starting behind
+    /// the watermark, or one whose user is outside the population.
+    fn admissible(&self, session: &SessionRecord) -> Result<(), OnlineError> {
         let start_secs = session.start.as_secs();
         if start_secs < self.watermark {
             return Err(OnlineError::LateSession {
@@ -198,6 +215,25 @@ impl OnlineSender {
                 watermark: self.watermark,
             });
         }
+        if session.user.0 as usize >= self.population_len {
+            return Err(OnlineError::UnknownUser {
+                user: session.user.0,
+                population_len: self.population_len,
+            });
+        }
+        Ok(())
+    }
+
+    /// Enqueues one arriving session, blocking while the channel is full
+    /// (backpressure).
+    ///
+    /// Events need not be sorted — batches are put into canonical order
+    /// when a watermark seals them — but each must start at or after the
+    /// current watermark, or it is rejected as
+    /// [`OnlineError::LateSession`]; a user id outside the channel's
+    /// population is rejected as [`OnlineError::UnknownUser`].
+    pub fn send_session(&mut self, session: SessionRecord) -> Result<(), OnlineError> {
+        self.admissible(&session)?;
         self.tx
             .send(Envelope::Session(session))
             .map_err(|_| OnlineError::Disconnected)
@@ -208,16 +244,11 @@ impl OnlineSender {
     /// Like [`send_session`](OnlineSender::send_session) but returns
     /// [`OnlineError::Full`] instead of waiting when the channel is at
     /// capacity — the event is **not** enqueued and the caller may retry,
-    /// drop, or spill it. Late sessions are still rejected as
-    /// [`OnlineError::LateSession`] before the channel is touched.
+    /// drop, or spill it. Late sessions and unknown users are still
+    /// rejected ([`OnlineError::LateSession`],
+    /// [`OnlineError::UnknownUser`]) before the channel is touched.
     pub fn try_send(&mut self, session: SessionRecord) -> Result<(), OnlineError> {
-        let start_secs = session.start.as_secs();
-        if start_secs < self.watermark {
-            return Err(OnlineError::LateSession {
-                start_secs,
-                watermark: self.watermark,
-            });
-        }
+        self.admissible(&session)?;
         self.tx
             .try_send(Envelope::Session(session))
             .map_err(|e| match e {
@@ -235,14 +266,14 @@ impl OnlineSender {
     /// `max_attempts` full channel probes so a stalled consumer surfaces
     /// as a typed error instead of a silent hang.
     ///
-    /// Late sessions are rejected as [`OnlineError::LateSession`]
-    /// immediately — retrying cannot make a late event timely.
+    /// Late sessions and unknown users are rejected immediately — retrying
+    /// cannot make such an event admissible.
     ///
     /// # Errors
     ///
     /// [`OnlineError::Full`] after exhausting attempts,
-    /// [`OnlineError::LateSession`] / [`OnlineError::Disconnected`]
-    /// immediately.
+    /// [`OnlineError::LateSession`] / [`OnlineError::UnknownUser`] /
+    /// [`OnlineError::Disconnected`] immediately.
     pub fn send_with_retry(
         &mut self,
         session: SessionRecord,
@@ -742,6 +773,35 @@ mod tests {
         let mut ok = store.record(0);
         ok.start = consume_local_trace::SimTime(5_000);
         assert_eq!(tx.try_send(ok), Err(OnlineError::Disconnected));
+    }
+
+    #[test]
+    fn unknown_users_are_rejected_at_the_sender() {
+        let store = store();
+        let population = store.population_len();
+        let sim = Simulator::new(SimConfig::default());
+        let (mut tx, source) = channel(store.horizon_secs(), population, 4);
+        let mut stranger = store.record(0);
+        stranger.user = consume_local_trace::UserId(population as u32);
+        let unknown = OnlineError::UnknownUser {
+            user: population as u32,
+            population_len: population,
+        };
+        let (sends, report) = parallel_join(
+            move || {
+                let sends = (tx.send_session(stranger), tx.try_send(stranger));
+                tx.send_session(store.record(0)).unwrap();
+                sends
+            },
+            || sim.simulate(source),
+        );
+        assert_eq!(sends, (Err(unknown), Err(unknown)));
+        // Only the admissible session reached the engine, and every byte of
+        // its demand is some user's traffic.
+        let watched: u64 = report.users.iter().map(|u| u.watched_bytes).sum();
+        assert_eq!(watched, report.total.demand_bytes);
+        let msg = unknown.to_string();
+        assert!(msg.contains(&population.to_string()), "{msg}");
     }
 
     #[test]

@@ -74,6 +74,23 @@ pub struct DailyIspCell {
     pub ledger: ByteLedger,
 }
 
+/// Sorts `cells` by `(day, isp)` and folds them onto the grouped list
+/// `into`, merging equal keys (including into `into`'s last cell). Ledger
+/// fields are `u64` sums, so neither the cells' order nor how they were
+/// split up beforehand changes the bytes. When every cell is at or past
+/// `into`'s last key, `into` stays sorted and grouped.
+pub(crate) fn fold_daily_cells(into: &mut Vec<DailyIspCell>, mut cells: Vec<DailyIspCell>) {
+    cells.sort_by_key(|c| (c.day, c.isp));
+    for cell in cells {
+        match into.last_mut() {
+            Some(last) if last.day == cell.day && last.isp == cell.isp => {
+                last.ledger.merge(&cell.ledger);
+            }
+            _ => into.push(cell),
+        }
+    }
+}
+
 /// Fault-injection degradation totals: what churn and peer defection cost
 /// the run, system-wide. All-zero when `cooperation_rate == 1.0`.
 ///

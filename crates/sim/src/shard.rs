@@ -40,7 +40,7 @@
 use std::fmt;
 
 use crate::engine::Simulator;
-use crate::report::SimReport;
+use crate::report::{fold_daily_cells, SimReport};
 use crate::source::SessionSource;
 
 /// A typed failure from [`merge_shard_reports`].
@@ -119,19 +119,9 @@ pub fn merge_shard_reports(shards: Vec<SimReport>) -> Result<SimReport, ShardErr
         });
     }
 
-    // Day × ISP cells: regroup the shard cells per (day, isp). Ledger
-    // fields are u64 sums, so the fold order never changes the bytes.
-    merged.daily.sort_by_key(|c| (c.day, c.isp));
-    let mut folded: Vec<crate::report::DailyIspCell> = Vec::with_capacity(merged.daily.len());
-    for cell in merged.daily.drain(..) {
-        match folded.last_mut() {
-            Some(last) if last.day == cell.day && last.isp == cell.isp => {
-                last.ledger.merge(&cell.ledger);
-            }
-            _ => folded.push(cell),
-        }
-    }
-    merged.daily = folded;
+    // Day × ISP cells: regroup the shard cells per (day, isp).
+    let cells = std::mem::take(&mut merged.daily);
+    fold_daily_cells(&mut merged.daily, cells);
 
     Ok(merged)
 }
