@@ -154,29 +154,13 @@ impl Simulator {
         mut on_day_close: impl FnMut(DayClose),
     ) -> Result<SimReport, CheckpointError> {
         let mut run = self.begin(source.horizon_secs(), source.population_len());
-        let mut failure: Option<CheckpointError> = None;
+        let mut outcome = Ok(());
         source.for_each_batch(&mut |batch, watermark| {
-            if failure.is_some() {
-                return;
-            }
-            run.push_batch(batch, watermark);
-            let before = run.closed_days;
-            run.drain_closed_days(&mut on_day_close);
-            let closed = run.closed_days - before;
-            let mut note = || -> Result<(), CheckpointError> {
-                checkpointer.note_watermark(&run)?;
-                for _ in 0..closed {
-                    checkpointer.note_day_close(&run)?;
-                }
-                Ok(())
-            };
-            if let Err(e) = note() {
-                failure = Some(e);
+            if outcome.is_ok() {
+                outcome = run.push_checkpointed(batch, watermark, checkpointer, &mut on_day_close);
             }
         });
-        if let Some(e) = failure {
-            return Err(e);
-        }
+        outcome?;
         Ok(run.finish_days(on_day_close))
     }
 
@@ -1283,6 +1267,29 @@ impl SegmentedRun {
         if spill {
             self.spill_sealed_days();
         }
+    }
+
+    /// One checkpointed step: push the batch, drain the days it closes, then
+    /// note the watermark advance and each closed day with `checkpointer` —
+    /// in that order, so every snapshot is cut at a batch boundary after
+    /// its day closes were emitted, and a restored run re-emits none of
+    /// them. [`Simulator::simulate_days_checkpointed`] and the crash
+    /// harness's doomed consumer both step through here.
+    pub(crate) fn push_checkpointed(
+        &mut self,
+        batch: &SessionStore,
+        watermark: u64,
+        checkpointer: &mut Checkpointer,
+        on_day_close: impl FnMut(DayClose),
+    ) -> Result<(), CheckpointError> {
+        self.push_batch(batch, watermark);
+        let closed_before = self.closed_days;
+        self.drain_closed_days(on_day_close);
+        checkpointer.note_watermark(self)?;
+        for _ in closed_before..self.closed_days {
+            checkpointer.note_day_close(self)?;
+        }
+        Ok(())
     }
 
     /// Days the watermark has sealed: a day is sealed once the watermark

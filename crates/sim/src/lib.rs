@@ -26,8 +26,10 @@
 //!   [`SegmentedRun`]);
 //! * [`online`] — the live ingest front-end: a bounded backpressured
 //!   channel of arriving sessions, watermark-driven day closes, the
-//!   N×-real-time [`replay`](online::replay) driver, and the
-//!   [`online::faults`] deterministic crash-recovery harness;
+//!   N×-real-time [`replay`](online::replay) driver (one driver,
+//!   [`replay_with`](online::replay_with), feeds fresh and restored runs
+//!   alike, resuming at the run's watermark), and the [`online::faults`]
+//!   deterministic crash-recovery harness;
 //! * [`shard`] — swarm-sharded runs: disjoint shards (e.g. the metro
 //!   presets' per-city streams) simulated one at a time and folded through
 //!   the commutative [`merge_shard_reports`], byte-identical to the

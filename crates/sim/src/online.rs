@@ -17,9 +17,10 @@
 //!   canonical [`SessionStore`] batch, which is what lets the engine retire
 //!   finished swarms and close days *while the stream is still open*
 //!   ([`Simulator::simulate_days`]).
-//!   Late events (start before the current watermark) and events from
-//!   users outside the population are rejected at the sender with
-//!   [`OnlineError::LateSession`] / [`OnlineError::UnknownUser`] rather
+//!   Late events (start before the current watermark), events starting at
+//!   or past the horizon and events from users outside the population are
+//!   rejected at the sender with [`OnlineError::LateSession`] /
+//!   [`OnlineError::PastHorizon`] / [`OnlineError::UnknownUser`] rather
 //!   than silently skewing results.
 //! * **Byte-identical results.** Because the online path feeds the same
 //!   resumable per-swarm machines through the same [`SessionSource`]
@@ -33,6 +34,9 @@
 //! [`ReplaySpeed::Times`] real time (or [`ReplaySpeed::MaxThroughput`] for
 //! as-fast-as-possible ingest, the events/sec benchmark mode), watermarking
 //! once per simulated tick, while the calling thread simulates.
+//! [`replay_with`] is the one driver underneath: it takes the run to feed —
+//! fresh from [`Simulator::begin`] or restored from a snapshot — and
+//! resumes the stream at that run's watermark.
 //!
 //! # Example
 //!
@@ -55,6 +59,7 @@
 //! # }
 //! ```
 
+use std::ops::Range;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 
 use consume_local_trace::{SessionRecord, SessionStore};
@@ -90,6 +95,15 @@ pub enum OnlineError {
         /// The watermark it arrived behind.
         watermark: u64,
     },
+    /// The session starts at or past the channel's horizon. The event was
+    /// **not** enqueued: no window of the run covers it, so its demand
+    /// would be silently lost.
+    PastHorizon {
+        /// The rejected session's start, in seconds.
+        start_secs: u64,
+        /// The channel's horizon, in seconds.
+        horizon_secs: u64,
+    },
     /// The session's user id is outside the channel's population
     /// (`user ≥ population_len`). The event was **not** enqueued: its
     /// bytes would count in the report's total but in no user's traffic.
@@ -117,6 +131,13 @@ impl std::fmt::Display for OnlineError {
             } => write!(
                 f,
                 "late session: starts at {start_secs}s, behind watermark {watermark}s"
+            ),
+            Self::PastHorizon {
+                start_secs,
+                horizon_secs,
+            } => write!(
+                f,
+                "session past the horizon: starts at {start_secs}s, horizon is {horizon_secs}s"
             ),
             Self::UnknownUser {
                 user,
@@ -183,6 +204,7 @@ pub fn channel(
         OnlineSender {
             tx,
             watermark: 0,
+            horizon_secs,
             population_len,
         },
         OnlineSource {
@@ -201,18 +223,26 @@ pub fn channel(
 pub struct OnlineSender {
     tx: SyncSender<Envelope>,
     watermark: u64,
+    horizon_secs: u64,
     population_len: usize,
 }
 
 impl OnlineSender {
     /// Rejects a session the engine could not account: one starting behind
-    /// the watermark, or one whose user is outside the population.
+    /// the watermark or at or past the horizon, or one whose user is outside
+    /// the population.
     fn admissible(&self, session: &SessionRecord) -> Result<(), OnlineError> {
         let start_secs = session.start.as_secs();
         if start_secs < self.watermark {
             return Err(OnlineError::LateSession {
                 start_secs,
                 watermark: self.watermark,
+            });
+        }
+        if start_secs >= self.horizon_secs {
+            return Err(OnlineError::PastHorizon {
+                start_secs,
+                horizon_secs: self.horizon_secs,
             });
         }
         if session.user.0 as usize >= self.population_len {
@@ -230,8 +260,9 @@ impl OnlineSender {
     /// Events need not be sorted — batches are put into canonical order
     /// when a watermark seals them — but each must start at or after the
     /// current watermark, or it is rejected as
-    /// [`OnlineError::LateSession`]; a user id outside the channel's
-    /// population is rejected as [`OnlineError::UnknownUser`].
+    /// [`OnlineError::LateSession`]; a session starting at or past the
+    /// horizon is rejected as [`OnlineError::PastHorizon`], and a user id
+    /// outside the channel's population as [`OnlineError::UnknownUser`].
     pub fn send_session(&mut self, session: SessionRecord) -> Result<(), OnlineError> {
         self.admissible(&session)?;
         self.tx
@@ -244,9 +275,10 @@ impl OnlineSender {
     /// Like [`send_session`](OnlineSender::send_session) but returns
     /// [`OnlineError::Full`] instead of waiting when the channel is at
     /// capacity — the event is **not** enqueued and the caller may retry,
-    /// drop, or spill it. Late sessions and unknown users are still
-    /// rejected ([`OnlineError::LateSession`],
-    /// [`OnlineError::UnknownUser`]) before the channel is touched.
+    /// drop, or spill it. Late sessions, sessions past the horizon and
+    /// unknown users are still rejected ([`OnlineError::LateSession`],
+    /// [`OnlineError::PastHorizon`], [`OnlineError::UnknownUser`]) before
+    /// the channel is touched.
     pub fn try_send(&mut self, session: SessionRecord) -> Result<(), OnlineError> {
         self.admissible(&session)?;
         self.tx
@@ -266,14 +298,16 @@ impl OnlineSender {
     /// `max_attempts` full channel probes so a stalled consumer surfaces
     /// as a typed error instead of a silent hang.
     ///
-    /// Late sessions and unknown users are rejected immediately — retrying
-    /// cannot make such an event admissible.
+    /// Late sessions, sessions past the horizon and unknown users are
+    /// rejected immediately — retrying cannot make such an event
+    /// admissible.
     ///
     /// # Errors
     ///
     /// [`OnlineError::Full`] after exhausting attempts,
-    /// [`OnlineError::LateSession`] / [`OnlineError::UnknownUser`] /
-    /// [`OnlineError::Disconnected`] immediately.
+    /// [`OnlineError::LateSession`] / [`OnlineError::PastHorizon`] /
+    /// [`OnlineError::UnknownUser`] / [`OnlineError::Disconnected`]
+    /// immediately.
     pub fn send_with_retry(
         &mut self,
         session: SessionRecord,
@@ -389,7 +423,7 @@ pub enum ReplaySpeed {
     MaxThroughput,
 }
 
-/// Configuration for [`replay`] / [`resume_replay`].
+/// Configuration for [`replay`] / [`replay_with`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReplayConfig {
     /// Replay speed (default: [`ReplaySpeed::MaxThroughput`]).
@@ -399,11 +433,6 @@ pub struct ReplayConfig {
     pub tick_secs: u64,
     /// Channel capacity in envelopes (default: 1024).
     pub capacity: usize,
-    /// Resume point in simulated seconds (default: 0, a fresh run). Only
-    /// [`resume_replay`] honours it: events starting before it are already
-    /// inside the restored run's checkpoint and are not re-fed; set it to
-    /// the snapshot's [`SegmentedRun::watermark`]. [`replay`] requires 0.
-    pub resume_from: u64,
 }
 
 impl Default for ReplayConfig {
@@ -412,7 +441,6 @@ impl Default for ReplayConfig {
             speed: ReplaySpeed::MaxThroughput,
             tick_secs: 3_600,
             capacity: 1_024,
-            resume_from: 0,
         }
     }
 }
@@ -429,14 +457,13 @@ pub struct ReplayStats {
     pub days_closed: u64,
 }
 
-/// Replays a store through an online [`channel`] at `config.speed`,
-/// simulating as events arrive. Returns the report — byte-identical to
-/// `sim.simulate(&store)` — and the stream statistics.
+/// Replays a store through an online [`channel`] at `config.speed` into a
+/// fresh run, simulating as events arrive. Returns the report —
+/// byte-identical to `sim.simulate(&store)` — and the stream statistics.
 ///
 /// The producer runs on a scoped thread; the calling thread simulates.
-/// Sleep-based pacing and day-close observation hooks are injectable via
-/// [`replay_with`] (this wrapper sleeps for [`ReplaySpeed::Times`] and
-/// ignores day closes).
+/// This wrapper sleeps for [`ReplaySpeed::Times`] and ignores day closes;
+/// [`replay_with`] injects both, and drives a restored run too.
 ///
 /// # Panics
 ///
@@ -448,7 +475,7 @@ pub fn replay(
     config: &ReplayConfig,
 ) -> (SimReport, ReplayStats) {
     replay_with(
-        sim,
+        sim.begin(store.horizon_secs(), store.population_len()),
         store,
         config,
         |secs| std::thread::sleep(std::time::Duration::from_secs_f64(secs)),
@@ -456,91 +483,45 @@ pub fn replay(
     )
 }
 
-/// [`replay`] with an injectable pacer and day-close observer.
+/// The replay driver: feeds `run` the store's sessions from
+/// [`run.watermark()`](SegmentedRun::watermark) on, with an injectable
+/// pacer and day-close observer.
+///
+/// Pass `sim.begin(store.horizon_secs(), store.population_len())` for a
+/// fresh run, or a run restored by [`Simulator::resume`] /
+/// [`checkpoint::resume_latest`](crate::checkpoint::resume_latest) after a
+/// crash: the restored run's watermark is the resume point, so only events
+/// starting at or after it are re-fed — exactly what a journalling
+/// upstream replays after a consumer crash. Either way the final report is
+/// byte-identical to `sim.simulate(&store)` (pinned by `tests/online.rs`
+/// and `tests/recovery.rs`), and [`ReplayStats`] counts only what this
+/// call fed. A run already sealed at or past the horizon is fed nothing
+/// and just finishes.
 ///
 /// `pace(wall_secs)` runs on the producer thread once per simulated tick
 /// under [`ReplaySpeed::Times`] (never under
 /// [`ReplaySpeed::MaxThroughput`]); tests substitute a recorder for the
-/// default sleep. `on_day_close` runs on the consumer (calling) thread as
-/// each day seals, exactly as
-/// [`Simulator::simulate_days`] reports
-/// them.
+/// sleep. `on_day_close` runs on the consumer (calling) thread as each day
+/// seals, exactly as [`Simulator::simulate_days`] reports them; days a
+/// restored run closed before its snapshot are not re-emitted.
+///
+/// # Panics
+///
+/// Panics if `config.tick_secs` is 0, or if a [`ReplaySpeed::Times`] factor
+/// is not finite and positive.
 pub fn replay_with(
-    sim: &Simulator,
+    run: SegmentedRun,
     store: &SessionStore,
     config: &ReplayConfig,
     pace: impl FnMut(f64) + Send,
     mut on_day_close: impl FnMut(DayClose),
 ) -> (SimReport, ReplayStats) {
-    assert_eq!(
-        config.resume_from, 0,
-        "replay starts fresh runs; use resume_replay for a restored run"
-    );
     let (sender, source) = channel(
         store.horizon_secs(),
         store.population_len(),
         config.capacity,
     );
-    let producer = feed_producer(store, config, sender, pace);
-    let (mut stats, (report, days_closed)) = parallel_join(producer, || {
-        let mut days_closed = 0u64;
-        let report = sim.simulate_days(source, |close| {
-            days_closed += 1;
-            on_day_close(close);
-        });
-        (report, days_closed)
-    });
-    stats.days_closed = days_closed;
-    (report, stats)
-}
-
-/// Resumes a crashed online run: drives a [`SegmentedRun`] restored by
-/// [`Simulator::resume`](crate::Simulator::resume) over the **tail** of the
-/// event stream — only events starting at or after `config.resume_from`
-/// (set it to the restored run's [`SegmentedRun::watermark`]) are re-fed,
-/// exactly what a journalling upstream replays after a consumer crash. The
-/// final report is byte-identical to an uninterrupted [`replay`] of the
-/// whole store (pinned by `tests/recovery.rs`), and [`ReplayStats`] counts
-/// only the re-fed tail.
-///
-/// # Panics
-///
-/// Panics if `config.tick_secs` is 0, a [`ReplaySpeed::Times`] factor is
-/// not finite and positive, or `config.resume_from` does not equal the
-/// restored run's watermark.
-pub fn resume_replay(
-    run: SegmentedRun,
-    store: &SessionStore,
-    config: &ReplayConfig,
-) -> (SimReport, ReplayStats) {
-    resume_replay_with(run, store, config, |_| {})
-}
-
-/// [`resume_replay`] with a day-close observer: days the restored run
-/// already closed before the crash are **not** re-emitted — the observer
-/// sees exactly the closes the uninterrupted run would still have had
-/// ahead of it.
-pub fn resume_replay_with(
-    run: SegmentedRun,
-    store: &SessionStore,
-    config: &ReplayConfig,
-    mut on_day_close: impl FnMut(DayClose),
-) -> (SimReport, ReplayStats) {
-    assert_eq!(
-        config.resume_from,
-        run.watermark(),
-        "resume_from must equal the restored run's watermark: behind it the \
-         source would violate the watermark contract, ahead of it events \
-         would be silently lost"
-    );
-    let (sender, source) = channel(
-        store.horizon_secs(),
-        store.population_len(),
-        config.capacity,
-    );
-    let producer = feed_producer(store, config, sender, |secs| {
-        std::thread::sleep(std::time::Duration::from_secs_f64(secs))
-    });
+    let producer = feed_producer(store, config, run.watermark(), sender, pace);
     let (mut stats, (report, days_closed)) = parallel_join(producer, || {
         let mut days_closed = 0u64;
         let report = run.simulate_remaining_days(source, |close| {
@@ -553,19 +534,48 @@ pub fn resume_replay_with(
     (report, stats)
 }
 
-/// The shared producer loop of [`replay_with`] / [`resume_replay_with`]:
-/// one watermark per tick, emitted just before the first event that
-/// crosses it (paced), plus trailing ticks to cover the horizon so every
-/// day closes through the same cadence. Events starting before
-/// `config.resume_from` are skipped and ticks start past it. If the
-/// consumer hangs up early the partial stats are still meaningful.
+/// The replay tick schedule, resuming at watermark `from`: batch *i* holds
+/// the sessions starting in `[i·tick, (i+1)·tick)` and is sealed by the
+/// watermark `(i+1)·tick`, from the first tick past `from` (a watermark the
+/// run already holds) to the first tick at or past the horizon, so every
+/// day closes through the same cadence. Yields `(index range into the
+/// store, watermark)` pairs — nothing when `from` already reaches the
+/// horizon.
+///
+/// # Panics
+///
+/// Panics if `tick_secs` is 0.
+fn tick_schedule(
+    store: &SessionStore,
+    tick_secs: u64,
+    from: u64,
+) -> impl Iterator<Item = (Range<usize>, u64)> + Send + '_ {
+    assert!(tick_secs > 0, "tick_secs must be positive");
+    let starts = store.start_secs();
+    let horizon = store.horizon_secs();
+    let mut lo = starts.partition_point(|&s| s < from);
+    let mut next = (from < horizon).then(|| (from / tick_secs + 1) * tick_secs);
+    std::iter::from_fn(move || {
+        let watermark = next?;
+        let hi = lo + starts[lo..].partition_point(|&s| s < watermark);
+        let range = lo..hi;
+        lo = hi;
+        next = (watermark < horizon).then(|| watermark + tick_secs);
+        Some((range, watermark))
+    })
+}
+
+/// The producer loop of [`replay_with`]: walks the [`tick_schedule`] from
+/// `from`, sending each tick's sessions, pacing, then advancing the
+/// watermark. If the consumer hangs up early the partial stats are still
+/// meaningful.
 fn feed_producer<'a>(
     store: &'a SessionStore,
     config: &ReplayConfig,
+    from: u64,
     mut sender: OnlineSender,
     mut pace: impl FnMut(f64) + Send + 'a,
 ) -> impl FnOnce() -> ReplayStats + Send + 'a {
-    assert!(config.tick_secs > 0, "tick_secs must be positive");
     let wall_secs_per_tick = match config.speed {
         ReplaySpeed::Times(n) => {
             assert!(
@@ -576,43 +586,23 @@ fn feed_producer<'a>(
         }
         ReplaySpeed::MaxThroughput => None,
     };
-    let horizon = store.horizon_secs();
-    let tick = config.tick_secs;
-    let resume_from = config.resume_from;
+    let schedule = tick_schedule(store, config.tick_secs, from);
     move || {
         let mut stats = ReplayStats::default();
-        // The first tick strictly past the resume point (`resume_from` is
-        // itself a watermark the restored run already holds).
-        let mut next_tick = (resume_from / tick + 1) * tick;
-        for i in 0..store.len() {
-            let record = store.record(i);
-            if record.start.as_secs() < resume_from {
-                continue;
-            }
-            while record.start.as_secs() >= next_tick {
-                if let Some(wall) = wall_secs_per_tick {
-                    pace(wall);
-                }
-                if sender.advance_watermark(next_tick).is_err() {
+        for (range, watermark) in schedule {
+            for i in range {
+                if sender.send_session(store.record(i)).is_err() {
                     return stats;
                 }
-                stats.watermarks += 1;
-                next_tick += tick;
+                stats.events += 1;
             }
-            if sender.send_session(record).is_err() {
-                return stats;
-            }
-            stats.events += 1;
-        }
-        while next_tick < horizon + tick {
             if let Some(wall) = wall_secs_per_tick {
                 pace(wall);
             }
-            if sender.advance_watermark(next_tick).is_err() {
+            if sender.advance_watermark(watermark).is_err() {
                 return stats;
             }
             stats.watermarks += 1;
-            next_tick += tick;
         }
         stats
     }
@@ -726,6 +716,32 @@ mod tests {
     }
 
     #[test]
+    fn sessions_past_the_horizon_are_rejected_at_the_sender() {
+        let store = store();
+        let horizon = store.horizon_secs();
+        let (mut tx, _source) = channel(horizon, store.population_len(), 4);
+        let mut past = store.record(0);
+        past.start = consume_local_trace::SimTime(horizon);
+        let past_horizon = OnlineError::PastHorizon {
+            start_secs: horizon,
+            horizon_secs: horizon,
+        };
+        let rejected = Err(past_horizon);
+        assert_eq!(tx.send_session(past), rejected);
+        assert_eq!(tx.try_send(past), rejected);
+        // Retrying cannot make it admissible: no attempt is spent on it.
+        assert_eq!(
+            tx.send_with_retry(past, &RetryPolicy::new(5, 1))
+                .map(|_| ()),
+            rejected
+        );
+        past.start = consume_local_trace::SimTime(horizon - 1);
+        assert_eq!(tx.send_session(past), Ok(()), "the last second is inside");
+        let msg = past_horizon.to_string();
+        assert!(msg.contains(&horizon.to_string()), "{msg}");
+    }
+
+    #[test]
     fn try_send_reports_backpressure_without_blocking() {
         let store = store();
         let (mut tx, source) = channel(store.horizon_secs(), store.population_len(), 1);
@@ -834,11 +850,10 @@ mod tests {
             speed: ReplaySpeed::Times(1e9), // enormous speed-up: no real waiting
             tick_secs: 21_600,
             capacity: 16,
-            ..ReplayConfig::default()
         };
         let mut closes = Vec::new();
         let (report, stats) = replay_with(
-            &sim,
+            sim.begin(store.horizon_secs(), store.population_len()),
             &store,
             &config,
             |secs| paces.push(secs),

@@ -6,10 +6,11 @@
 //! in-memory state dropped on the floor), and a successor process resumes
 //! from the newest readable snapshot and re-feeds **only the
 //! post-checkpoint events** through the real online replay driver
-//! ([`resume_replay`]). Because every step is deterministic — the batch
-//! schedule is a pure function of the store and tick, checkpoints happen
-//! at batch boundaries, and the engine is batch-schedule-independent — the
-//! recovered report must be byte-identical to the uninterrupted run, for
+//! ([`replay_with`], which resumes at the restored run's watermark).
+//! Because every step is deterministic — the batch schedule is a pure
+//! function of the store and tick, checkpoints happen at batch boundaries,
+//! and the engine is batch-schedule-independent — the recovered report
+//! must be byte-identical to the uninterrupted run, for
 //! *any* crash point and *any* cadence. `tests/recovery.rs` sweeps the
 //! kill point over every batch boundary at 1/2/8 threads.
 //!
@@ -24,7 +25,7 @@ use consume_local_trace::SessionStore;
 
 use crate::checkpoint::{self, CheckpointError, CheckpointPolicy, Checkpointer};
 use crate::engine::Simulator;
-use crate::online::{resume_replay, ReplayConfig};
+use crate::online::{replay_with, tick_schedule, ReplayConfig};
 use crate::report::SimReport;
 
 /// One scripted disaster: how the doomed consumer runs and when it dies.
@@ -68,25 +69,17 @@ pub struct CrashOutcome {
 ///
 /// Panics if `tick_secs` is 0.
 pub fn batch_schedule(store: &SessionStore, tick_secs: u64) -> Vec<(SessionStore, u64)> {
-    assert!(tick_secs > 0, "tick_secs must be positive");
-    let horizon = store.horizon_secs();
     let records = store.to_records();
-    let mut out = Vec::new();
-    let mut from = 0usize;
-    let mut watermark = tick_secs;
-    loop {
-        let upto = from + records[from..].partition_point(|r| r.start.as_secs() < watermark);
-        out.push((
-            SessionStore::from_records(&records[from..upto], horizon, store.population_len()),
-            watermark,
-        ));
-        from = upto;
-        if watermark >= horizon {
-            break;
-        }
-        watermark += tick_secs;
-    }
-    out
+    tick_schedule(store, tick_secs, 0)
+        .map(|(range, watermark)| {
+            let batch = SessionStore::from_records(
+                &records[range],
+                store.horizon_secs(),
+                store.population_len(),
+            );
+            (batch, watermark)
+        })
+        .collect()
 }
 
 /// Runs the scripted disaster of `plan` over `store` and returns the
@@ -97,8 +90,8 @@ pub fn batch_schedule(store: &SessionStore, tick_secs: u64) -> Vec<(SessionStore
 /// killed (state dropped) at the planned ordinal. Phase 2 — the
 /// successor: resumes from the newest readable snapshot
 /// ([`checkpoint::resume_latest`]) — or from scratch when no snapshot was
-/// ever written — and finishes the run through [`resume_replay`],
-/// re-feeding only the events at or after the snapshot's watermark.
+/// ever written — and finishes the run through [`replay_with`], which
+/// re-feeds only the events at or after the restored run's watermark.
 ///
 /// # Errors
 ///
@@ -118,34 +111,26 @@ pub fn crash_and_recover(
             if ordinal as u64 >= plan.crash_after_batches {
                 break;
             }
-            run.push_batch(batch, *watermark);
-            let mut closes = 0u64;
-            run.drain_closed_days(|_| closes += 1);
-            checkpointer.note_watermark(&run)?;
-            for _ in 0..closes {
-                checkpointer.note_day_close(&run)?;
-            }
+            run.push_checkpointed(batch, *watermark, &mut checkpointer, |_| {})?;
         }
         // The crash: `run` is dropped here — everything accumulated since
         // the last snapshot is lost, exactly like a killed process.
     }
 
-    let (run, resumed_from) = match checkpoint::resume_latest(&plan.policy.path) {
-        Ok(run) => {
-            let watermark = run.watermark();
-            (run, watermark)
-        }
+    let run = match checkpoint::resume_latest(&plan.policy.path) {
+        Ok(run) => run,
         Err(CheckpointError::Io(e)) if e.kind() == io::ErrorKind::NotFound => {
-            (sim.begin(store.horizon_secs(), store.population_len()), 0)
+            sim.begin(store.horizon_secs(), store.population_len())
         }
         Err(e) => return Err(e),
     };
+    let resumed_from = run.watermark();
     let config = ReplayConfig {
         tick_secs: plan.tick_secs,
-        resume_from: resumed_from,
         ..ReplayConfig::default()
     };
-    let (report, stats) = resume_replay(run, store, &config);
+    // Max throughput: the pacer is never called.
+    let (report, stats) = replay_with(run, store, &config, |_| {}, |_| {});
     Ok(CrashOutcome {
         report,
         resumed_from,

@@ -75,10 +75,65 @@ fn collect_outcomes<T>(outcomes: Vec<WorkerOutcome<T>>, primitive: &str) -> Vec<
     buffers
 }
 
+/// The one worker loop behind both mappers: up to `workers` scoped threads
+/// steal task indices `0..n` from an atomic cursor, run `task` under
+/// `catch_unwind` and buffer `(index, result)` pairs locally; the buffers
+/// are then placed at their index slots. With one worker no thread is
+/// spawned and the tasks run inline, in index order, on the caller's
+/// thread. A task panic stops its worker and is re-raised after every
+/// worker is joined, named after `primitive` (see [`collect_outcomes`]).
+fn steal_map<R: Send>(
+    n: usize,
+    workers: usize,
+    primitive: &str,
+    task: impl Fn(usize) -> R + Sync,
+) -> Vec<R> {
+    let next = AtomicUsize::new(0);
+    let work = || -> WorkerOutcome<R> {
+        let mut local = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            match catch_unwind(AssertUnwindSafe(|| task(i))) {
+                Ok(value) => local.push((i, value)),
+                Err(payload) => return Err((i, payload)),
+            }
+        }
+        Ok(local)
+    };
+    let workers = workers.max(1).min(n.max(1));
+    let outcomes = if workers == 1 {
+        vec![work()]
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
+            handles
+                .into_iter()
+                .map(|h| {
+                    h.join()
+                        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+                })
+                .collect()
+        })
+    };
+    let buffers = collect_outcomes(outcomes, primitive);
+    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    for (i, value) in buffers.into_iter().flatten() {
+        slots[i] = Some(value);
+    }
+    slots
+        .into_iter()
+        .map(|s| s.expect("every slot mapped"))
+        .collect()
+}
+
 /// Maps `0..n` through `f` across at most `workers` scoped threads.
 ///
-/// Output order is by index. `workers` is clamped to `n` (and at least one
-/// thread runs even for `n == 0`, trivially exiting).
+/// Output order is by index. `workers` is clamped to `n`; with one worker
+/// (or at most one task) no thread is spawned and `f` runs inline on the
+/// caller's thread.
 ///
 /// Workers buffer `(index, result)` pairs locally and hand the buffers back
 /// through their join handles — no shared lock anywhere, so the primitive
@@ -92,44 +147,7 @@ fn collect_outcomes<T>(outcomes: Vec<WorkerOutcome<T>>, primitive: &str) -> Vec<
 /// still joined, and a single panic is re-raised on the caller naming the
 /// lowest slot index whose task panicked plus the original message.
 pub fn parallel_map<T: Send, F: Fn(usize) -> T + Sync>(n: usize, workers: usize, f: F) -> Vec<T> {
-    let next = AtomicUsize::new(0);
-    let workers = workers.max(1).min(n.max(1));
-    let outcomes: Vec<WorkerOutcome<T>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        match catch_unwind(AssertUnwindSafe(|| f(i))) {
-                            Ok(value) => local.push((i, value)),
-                            Err(payload) => return Err((i, payload)),
-                        }
-                    }
-                    Ok(local)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-            })
-            .collect()
-    });
-    let buffers = collect_outcomes(outcomes, "parallel_map");
-    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    for (i, value) in buffers.into_iter().flatten() {
-        slots[i] = Some(value);
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every index mapped"))
-        .collect()
+    steal_map(n, workers, "parallel_map", f)
 }
 
 /// Maps the disjoint chunks of `data` described by `offsets` through `f`
@@ -145,10 +163,11 @@ pub fn parallel_map<T: Send, F: Fn(usize) -> T + Sync>(n: usize, workers: usize,
 /// `i`), and because the chunks never overlap, the final state of `data` is
 /// the same for every worker count and schedule: deterministic parallel
 /// mutation without a single `unsafe` block. Workers steal chunk indices
-/// from an atomic cursor and take the matching `&mut [T]` out of a
-/// mutex-guarded slot vector — the lock is held only for the `take`, so it
-/// costs one uncontended lock per *chunk*, not per element; chunks should
-/// be coarse (the trace merge's hour buckets are thousands of records).
+/// from an atomic cursor and take the matching `&mut [T]` out of that
+/// chunk's own mutex-guarded slot — the lock is held only for the `take`
+/// and no two workers ever want the same one, so it costs one uncontended
+/// lock per *chunk*, not per element; chunks should be coarse (the trace
+/// merge's hour buckets are thousands of records).
 ///
 /// With one worker (or one chunk) no thread is spawned and `f` runs inline,
 /// so serial callers pay nothing for routing through the shared primitive.
@@ -157,8 +176,8 @@ pub fn parallel_map<T: Send, F: Fn(usize) -> T + Sync>(n: usize, workers: usize,
 ///
 /// Panics if `offsets` is not ascending or overruns `data`. A panic from
 /// `f` is caught on the worker and re-raised on the caller naming the
-/// lowest chunk slot whose task panicked — workers never die holding the
-/// chunk-queue lock, so the mutex cannot poison the error path.
+/// lowest chunk slot whose task panicked — `f` never runs under a chunk
+/// lock, so no mutex can poison the error path.
 pub fn parallel_map_slices<T, R, F>(
     data: &mut [T],
     offsets: &[usize],
@@ -184,27 +203,10 @@ where
         offsets[n],
         data.len()
     );
-    let workers = workers.max(1).min(n);
-    if workers == 1 {
-        // Inline path: catch-and-rename so the panic message carries the
-        // slot index for every worker count, not just the threaded ones.
-        let mut out = Vec::with_capacity(n);
-        for i in 0..n {
-            let chunk = &mut data[offsets[i]..offsets[i + 1]];
-            match catch_unwind(AssertUnwindSafe(|| f(i, chunk))) {
-                Ok(value) => out.push(value),
-                Err(payload) => panic!(
-                    "parallel_map_slices: task for slot {i} panicked: {}",
-                    payload_text(payload.as_ref())
-                ),
-            }
-        }
-        return out;
-    }
 
     // Carve the buffer into exclusive chunks up front; `split_at_mut` is the
     // whole disjointness proof.
-    let mut chunks: Vec<Option<&mut [T]>> = Vec::with_capacity(n);
+    let mut chunks: Vec<Mutex<Option<&mut [T]>>> = Vec::with_capacity(n);
     let mut rest: &mut [T] = data;
     let mut consumed = 0usize;
     for i in 0..n {
@@ -213,55 +215,17 @@ where
         let (chunk, tail) = tail.split_at_mut(offsets[i + 1] - offsets[i]);
         rest = tail;
         consumed = offsets[i + 1];
-        chunks.push(Some(chunk));
+        chunks.push(Mutex::new(Some(chunk)));
     }
 
-    let queue = Mutex::new(chunks);
-    let next = AtomicUsize::new(0);
-    let outcomes: Vec<WorkerOutcome<R>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        // `f` runs outside the lock and inside catch_unwind,
-                        // so a panicking task can never poison the queue for
-                        // the workers still stealing chunks.
-                        let chunk = queue
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner)[i]
-                            .take()
-                            .expect("each chunk is stolen exactly once");
-                        match catch_unwind(AssertUnwindSafe(|| f(i, chunk))) {
-                            Ok(value) => local.push((i, value)),
-                            Err(payload) => return Err((i, payload)),
-                        }
-                    }
-                    Ok(local)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-            })
-            .collect()
-    });
-    let buffers = collect_outcomes(outcomes, "parallel_map_slices");
-    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    for (i, value) in buffers.into_iter().flatten() {
-        slots[i] = Some(value);
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every chunk mapped"))
-        .collect()
+    steal_map(n, workers, "parallel_map_slices", |i| {
+        let chunk = chunks[i]
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .take()
+            .expect("each chunk is stolen exactly once");
+        f(i, chunk)
+    })
 }
 
 /// Runs `a` on a scoped thread while `b` runs on the caller's thread, and
@@ -312,6 +276,18 @@ mod tests {
     fn empty_and_singleton() {
         assert_eq!(parallel_map(0, 4, |i| i), Vec::<usize>::new());
         assert_eq!(parallel_map(1, 4, |i| i + 10), vec![10]);
+    }
+
+    #[test]
+    fn one_worker_runs_every_task_on_the_callers_thread() {
+        let caller = std::thread::current().id();
+        let ids = parallel_map(8, 1, |_| std::thread::current().id());
+        assert!(ids.iter().all(|&id| id == caller), "parallel_map");
+        let mut data = [0u8; 8];
+        let ids = parallel_map_slices(&mut data, &[0, 2, 5, 8], 1, |_, _| {
+            std::thread::current().id()
+        });
+        assert!(ids.iter().all(|&id| id == caller), "parallel_map_slices");
     }
 
     #[test]

@@ -41,8 +41,8 @@ fn replay_byte_identical_across_speeds_and_thread_counts() {
                 ..ReplayConfig::default()
             };
             let mut paces = 0u64;
-            let (report, stats) =
-                online::replay_with(&sim, &store, &config, |_| paces += 1, |_| {});
+            let run = sim.begin(store.horizon_secs(), store.population_len());
+            let (report, stats) = online::replay_with(run, &store, &config, |_| paces += 1, |_| {});
             assert_eq!(
                 report, expect,
                 "{factor}x replay must match the batch report at {threads} threads"
@@ -159,7 +159,7 @@ fn online_day_closes_match_the_batch_day_closes() {
     let batch_report = sim.simulate_days(&store, |close| batch_days.push(close));
     let mut online_days = Vec::new();
     let (online_report, _) = online::replay_with(
-        &sim,
+        sim.begin(store.horizon_secs(), store.population_len()),
         &store,
         &ReplayConfig::default(),
         |_| {},

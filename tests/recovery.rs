@@ -14,6 +14,7 @@ use proptest::prelude::*;
 use consume_local::prelude::*;
 use consume_local::sim::checkpoint::{self, CheckpointError};
 use consume_local::sim::online::faults::{batch_schedule, crash_and_recover, CrashPlan};
+use consume_local::sim::online::{self, ReplayConfig};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 const DAY: u64 = 86_400;
@@ -139,6 +140,34 @@ fn sparse_checkpoint_cadences_still_recover_exactly() {
         assert_eq!(outcome.resumed_from, kept);
         clean(&path);
     }
+}
+
+#[test]
+fn replaying_a_sealed_run_feeds_nothing_and_finishes() {
+    // A whole store is one batch at watermark u64::MAX; a snapshot after it
+    // restores a run sealed past the horizon. Replaying it must feed no
+    // event, emit no watermark and still finish to the uninterrupted report.
+    let store = short_store(0.0002, 31, 2);
+    let sim = simulator(2);
+    let expect = sim.simulate(&store);
+    let path = scratch("sealed");
+    clean(&path);
+    let mut checkpointer = Checkpointer::new(CheckpointPolicy::every_watermarks(1, &path));
+    let checkpointed = sim
+        .simulate_days_checkpointed(&store, &mut checkpointer, |_| {})
+        .unwrap();
+    assert_eq!(checkpointed, expect);
+    let run = checkpoint::resume_latest(&path).unwrap();
+    assert_eq!(run.watermark(), u64::MAX);
+    let (report, stats) =
+        online::replay_with(run, &store, &ReplayConfig::default(), |_| {}, |_| {});
+    assert_eq!(report, expect);
+    assert_eq!(
+        stats,
+        online::ReplayStats::default(),
+        "nothing fed, no day re-closed"
+    );
+    clean(&path);
 }
 
 /// Builds a run mid-flight and snapshots it to `path`, returning its
